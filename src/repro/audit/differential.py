@@ -372,26 +372,30 @@ def vector_differential_run(
 
 def vector_differential_adaptive(
     trace,
-    config,
+    configs,
     controller_factory: Callable[[], object],
     starts: Sequence[float],
     *,
     queue_model=None,
     seed: int = 0,
 ) -> VectorDifferentialReport:
-    """Replay an Adaptive-controller start axis under both engines.
+    """Replay an Adaptive-controller (shape x start) cube under both engines.
 
-    The scalar side runs every start through an audited fast simulator
-    with a fresh controller, bootstrapped exactly like the experiment
-    runner's Adaptive cells (``PeriodicPolicy`` at ``bids[0]`` on the
-    trace's first zone); the vector side serves the whole axis through
-    :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_batch`.
+    ``configs`` is one :class:`~repro.app.workload.ExperimentConfig` or
+    a ladder of them; rows are laid out shape-major, every shape over
+    every start.  The scalar side runs every row through an audited
+    fast simulator with a fresh controller at that row's own shape,
+    bootstrapped exactly like the experiment runner's Adaptive cells
+    (``PeriodicPolicy`` at ``bids[0]`` on the trace's first zone); the
+    vector side serves the whole cube through
+    :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_cube`.
     Beyond the usual field-by-field diffs, bit-identical event streams
     here certify *winner-identical controller decisions*: every
     ``config-switch`` event carries the chosen policy, bid and zone
     count, so a single divergent decision anywhere shows up as an
     event diff.
     """
+    from repro.app.workload import ExperimentConfig
     from repro.core.engine import SpotSimulator
     from repro.core.periodic import PeriodicPolicy
     from repro.core.vector_engine import VectorSimulator
@@ -399,15 +403,20 @@ def vector_differential_adaptive(
     from repro.market.spot_market import PriceOracle
 
     qm = queue_model or QueueDelayModel()
+    configs = (
+        [configs] if isinstance(configs, ExperimentConfig) else list(configs)
+    )
     starts = [float(s) for s in starts]
+    shape_idx = [k for k in range(len(configs)) for _ in starts]
+    row_starts = starts * len(configs)
     zones = tuple(trace.zone_names[:1])
 
-    def start_rngs():
+    def row_rngs():
         return [
             np.random.default_rng(
                 np.random.SeedSequence(entropy=seed, spawn_key=(int(s),))
             )
-            for s in starts
+            for s in row_starts
         ]
 
     fast_oracle = PriceOracle(trace)
@@ -415,7 +424,7 @@ def vector_differential_adaptive(
     auditor = RunAuditor(sink=sink, strict=False)
     fast_results = []
     audited_streams: list[list[AuditEvent]] = []
-    for s, rng in zip(starts, start_rngs()):
+    for k, s, rng in zip(shape_idx, row_starts, row_rngs()):
         before = len(sink.events)
         sim = SpotSimulator(
             oracle=fast_oracle, queue_model=qm, rng=rng,
@@ -423,7 +432,7 @@ def vector_differential_adaptive(
         )
         controller = controller_factory()
         fast_results.append(sim.run(
-            config, PeriodicPolicy(), controller.bids[0], zones, s,
+            configs[k], PeriodicPolicy(), controller.bids[0], zones, s,
             controller=controller,
         ))
         audited_streams.append(list(sink.events[before:]))
@@ -432,8 +441,8 @@ def vector_differential_adaptive(
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=qm, record_events=True
     )
-    vector_results = vec.run_adaptive_batch(
-        config, controller_factory, starts, start_rngs()
+    vector_results = vec.run_adaptive_cube(
+        configs, controller_factory, shape_idx, row_starts, row_rngs()
     )
 
     report = VectorDifferentialReport(
@@ -442,13 +451,14 @@ def vector_differential_adaptive(
         fast_results=fast_results,
     )
     for i, (v, f) in enumerate(zip(vector_results, fast_results)):
+        where = f"row[{i}](shape={shape_idx[i]})"
         for d in diff_results(v, f):
             report.result_diffs.append(
-                FieldDiff(f"start[{i}].{d.where}", d.field, d.fast, d.tick)
+                FieldDiff(f"{where}.{d.where}", d.field, d.fast, d.tick)
             )
         report.audit_stream_diffs.extend(
             diff_log_vs_audit_stream(
-                v.events, audited_streams[i], where=f"start[{i}].event"
+                v.events, audited_streams[i], where=f"{where}.event"
             )
         )
     return report

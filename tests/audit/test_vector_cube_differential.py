@@ -21,7 +21,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.app.workload import paper_experiment
-from repro.audit.differential import vector_differential_cube
+from repro.audit.differential import (
+    vector_differential_adaptive,
+    vector_differential_cube,
+)
+from repro.core.adaptive import AdaptiveController
 from repro.core.large_bid import LargeBidPolicy
 from repro.core.markov_daly import MarkovDalyPolicy
 from repro.core.periodic import PeriodicPolicy
@@ -122,6 +126,28 @@ def test_cube_differential_large_bid(low_window):
         (zone,), starts,
     )
     assert report.ok, "\n".join(report.summary_lines())
+
+
+def test_adaptive_cube_differential_shape_ladder(low_window):
+    """Adaptive rows over a two-rung deadline ladder, one start
+    fractional: every (shape, start) row — result, event log with its
+    config-switch decisions, audited stream — matches an independent
+    fast controller run at its own shape."""
+    trace, eval_start = low_window
+    configs = _ladder(slacks=(0.15, 0.75))
+    starts = [eval_start, eval_start + 150.5, eval_start + 7200.0,
+              eval_start + 14400.0]
+    report = vector_differential_adaptive(
+        trace, configs, AdaptiveController, starts
+    )
+    assert report.ok, "\n".join(report.summary_lines())
+    assert len(report.vector_results) == len(configs) * len(starts)
+    deadlines = {r.deadline - r.start_time for r in report.vector_results}
+    assert deadlines == {cfg.deadline_s for cfg in configs}
+    assert all(
+        any(e.kind == "config-switch" for e in r.events)
+        for r in report.vector_results
+    )
 
 
 def test_cube_rows_share_scalar_cache_addresses(low_window, tmp_path):

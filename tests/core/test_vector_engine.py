@@ -186,6 +186,20 @@ def test_batch_validation_errors(low_window, config):
         vec.run_batch(config, PeriodicPolicy, 0.27, trace.zone_names[:1],
                       [eval_start, eval_start + 300.0],
                       _start_rngs([eval_start]))
+    zone = trace.zone_names[:1]
+    two = [eval_start, eval_start + 3600.0]
+    with pytest.raises(EngineError, match="shape index 1"):
+        vec.run_cube([config], PeriodicPolicy, zone, [0, 1], [0.27, 0.27],
+                     two, _start_rngs(two))
+    with pytest.raises(EngineError, match="shape rows"):
+        vec.run_cube([config], PeriodicPolicy, zone, [0], [0.27, 0.27],
+                     two, _start_rngs(two))
+    with pytest.raises(EngineError, match="clone_of"):
+        vec.run_grid(config, PeriodicPolicy, zone, [0.27, 0.81], two,
+                     _start_rngs(two), clone_of=[None, 0, 1])
+    with pytest.raises(EngineError, match="representative 7"):
+        vec.run_grid(config, PeriodicPolicy, zone, [0.27, 0.81], two,
+                     _start_rngs(two), clone_of=[None, 7])
     assert vec.run_batch(config, PeriodicPolicy, 0.27, trace.zone_names[:1],
                          [], []) == []
 
