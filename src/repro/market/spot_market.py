@@ -52,8 +52,10 @@ class PriceOracle:
     #: literal per-decision protocol, kept as the reference (and
     #: benchmark baseline) for the bucketed production path.
     bucket_s: float | None = 3600.0
-    #: Maintain per-zone rolling-window fitters and re-condition
-    #: intra-bucket refits via ``with_initial`` instead of refitting.
+    #: Fit bucket chains through per-zone window fitters (one bincount
+    #: per window over per-zone level ids, chains deduplicated by count
+    #: signature) and re-condition intra-bucket refits via
+    #: ``with_initial`` instead of refitting.
     #: Bit-identical to the full refit path (tests enforce it); keep
     #: switchable so differential suites can compare both.
     incremental: bool = True
@@ -68,8 +70,9 @@ class PriceOracle:
     _uprun_cache: dict = field(default_factory=dict, repr=False)
     #: (zone, i0, i1) -> min price over that exact sample range.
     _minprice_cache: dict = field(default_factory=dict, repr=False)
-    #: zone -> rolling-window fitter maintaining the trailing window's
-    #: transition counts incrementally as buckets advance.
+    #: zone -> window fitter holding the zone's level ids; it counts
+    #: each bucket's trailing window with one bincount and dedups
+    #: chains by count signature.
     _fitters: dict = field(default_factory=dict, repr=False)
     #: (zone, bucket) -> precomputed stationary vector, installed by
     #: :meth:`seed_stationary` (the sweep pool's shared-memory arena).
@@ -193,11 +196,11 @@ class PriceOracle:
     def markov_model(self, zone: str, t: float) -> PriceMarkovModel:
         """Markov chain fitted on the trailing history, hourly refreshed.
 
-        On the incremental path the fit consumes the zone's rolling
-        window statistics (O(samples entering + leaving) per bucket
-        advance); the full-window ``PriceMarkovModel.fit`` remains the
-        reference and the two are bit-identical at every bucket
-        boundary.
+        On the incremental path the zone's fitter counts the window
+        with one bincount over per-zone level ids and dedups chains by
+        count signature; the full-window ``PriceMarkovModel.fit``
+        remains the reference and the two are bit-identical at every
+        bucket boundary.
         """
         key = (zone, self._bucket(t))
         model = self._markov_cache.get(key)
@@ -234,10 +237,10 @@ class PriceOracle:
         """Fit every ``(zone, bucket)`` chain over ``[t0, t1)`` and
         return the stationary vectors keyed for :meth:`seed_stationary`.
 
-        The rolling fitters make the walk O(total samples) and chain
-        dedup collapses calm stretches, so prewarming a whole
-        evaluation window costs well under a second — paid once by the
-        pool parent instead of once per worker.  Returns ``{}`` for a
+        Each bucket costs one bincount over per-zone level ids, and
+        chain dedup by count signature collapses calm stretches, so
+        prewarming a whole evaluation window costs well under a second
+        — paid once by the pool parent instead of once per worker.  Returns ``{}`` for a
         reference oracle (``bucket_s=None``): per-decision refits have
         no bucket grid to prewarm.
         """

@@ -132,15 +132,48 @@ class PriceMarkovModel:
             up time diverge on sampling noise alone.  Default:
             ``1 / (2 * number of transitions)`` — half a pseudo-count,
             negligible against observed structure.
+
+        Raises :class:`MarkovError` if any price is NaN, infinite, zero
+        or negative.
         """
         prices = np.asarray(prices, dtype=np.float64)
         if prices.ndim != 1 or prices.size < 2:
             raise MarkovError("need at least two samples to fit transitions")
+        _check_prices(prices)
         levels, inverse = np.unique(prices, return_inverse=True)
         n = levels.size
-        counts = np.bincount(
-            inverse[:-1] * n + inverse[1:], minlength=n * n
-        ).reshape(n, n).astype(np.float64)
+        counts = np.bincount(inverse[:-1] * n + inverse[1:], minlength=n * n)
+        if current_price is None:
+            current_price = float(prices[-1])
+        start = int(np.argmin(np.abs(levels - current_price)))
+        return cls._from_counts(
+            levels, counts, prices.size, start, step_s, smoothing
+        )
+
+    @classmethod
+    def _from_counts(
+        cls,
+        levels: np.ndarray,
+        counts: np.ndarray,
+        n_samples: int,
+        start: int,
+        step_s: float,
+        smoothing: float | None = None,
+    ) -> "PriceMarkovModel":
+        """The chain of a window from its integer transition counts.
+
+        ``counts`` is the flat ``n*n`` bincount of (from, to) level-id
+        pairs over a window of ``n_samples`` samples whose sorted
+        distinct prices are ``levels``; ``start`` is the initial
+        state.  This is the one count → chain float pipeline: equal
+        counts give bit-identical chains, whoever counted them.
+        """
+        if smoothing is None:
+            smoothing = 1.0 / (2.0 * max(n_samples - 1, 1))
+        if not (0.0 <= smoothing < 1.0):
+            raise MarkovError(f"smoothing must be in [0, 1), got {smoothing}")
+        n = levels.size
+        counts = counts.reshape(n, n).astype(np.float64)
         row_sums = counts.sum(axis=1, keepdims=True)
         trans = np.where(row_sums > 0, counts / np.where(row_sums == 0, 1, row_sums), 0.0)
         marginal = counts.sum(axis=0)
@@ -151,20 +184,12 @@ class PriceMarkovModel:
         empty = np.flatnonzero(row_sums[:, 0] == 0)
         if empty.size:
             trans[empty] = marginal
-        if smoothing is None:
-            smoothing = 1.0 / (2.0 * max(prices.size - 1, 1))
-        if not (0.0 <= smoothing < 1.0):
-            raise MarkovError(f"smoothing must be in [0, 1), got {smoothing}")
         if smoothing > 0.0:
             trans = (1.0 - smoothing) * trans + smoothing * marginal[np.newaxis, :]
-
-        if current_price is None:
-            current_price = float(prices[-1])
-        start = int(np.argmin(np.abs(levels - current_price)))
         initial = np.zeros(n)
         initial[start] = 1.0
         return cls(levels=levels, trans=trans, initial=initial, step_s=step_s,
-                   fit_window_s=prices.size * step_s)
+                   fit_window_s=n_samples * step_s)
 
     def with_initial(self, current_price: float) -> "PriceMarkovModel":
         """A copy of this chain conditioned on ``current_price``.
@@ -527,22 +552,14 @@ class PriceMarkovModel:
         return np.where(mass > 0.0, weighted / safe_mass, bids)
 
 
-def _reachable_up_states(
-    trans: np.ndarray, up_mask: np.ndarray, start_mask: np.ndarray
-) -> np.ndarray:
-    """Indices of up states reachable from ``start_mask`` via up states.
-
-    Breadth-first closure over positive transition probabilities,
-    never stepping through a down state (the walk would have been
-    terminated there).
-    """
-    frontier = start_mask & up_mask
-    seen = frontier.copy()
-    adjacency = (trans > 0.0) & up_mask[np.newaxis, :]
-    while frontier.any():
-        frontier = adjacency[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return np.flatnonzero(seen)
+def _check_prices(prices: np.ndarray) -> None:
+    """Reject NaN, infinite, zero and negative prices."""
+    ok = (prices > 0.0) & (prices < np.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise MarkovError(
+            f"price {prices[i]!r} at sample {i} is not finite and positive"
+        )
 
 
 def combined_expected_uptime(
@@ -561,24 +578,20 @@ def combined_expected_uptime(
 
 
 class RollingMarkovFitter:
-    """Incremental refitter for a sliding window over one price series.
+    """Window refitter over one price series.
 
-    The oracle re-fits each zone's chain on a trailing 2-day window
-    whose boundaries advance one bucket at a time; recounting all 576
-    samples per advance is pure waste when only a handful of samples
-    enter and leave.  This fitter keeps the window's sufficient
-    statistics — per-pair transition counts and per-level occupancy —
-    and updates them in O(samples entering + leaving) as the window
-    slides.  Materializing a model replays ``PriceMarkovModel.fit``'s
-    exact floating-point pipeline on those counts, so the result is
-    bit-identical to a full refit of the same window: same levels,
-    same transition matrix, same stationary vector.
-
-    Materialized chains are memoized by their count signature: calm
-    stretches where consecutive windows share the same transition
-    multiset (common on the low-volatility window) collapse to a
-    single chain object, sharing its eigendecomposition and absorbing
-    solves across buckets.
+    The oracle fits each zone's chain on a trailing 2-day window at
+    every statistics bucket, and the rows of one vector batch visit
+    those windows in any order, far apart in trace time.  The fitter
+    maps the whole series to level ids once (``np.unique``) and counts
+    each window with one ``bincount`` over those ids: the levels
+    present in the window, their window-local ids, and the flat
+    transition-count matrix.  Chains are deduplicated by that count
+    signature, so windows with the same transition multiset (calm
+    stretches, revisits) share one chain object and with it the
+    eigendecomposition and absorbing solves.  The counts go through
+    ``PriceMarkovModel.fit``'s own float pipeline, so every chain is
+    bit-identical to a full refit of the same window.
     """
 
     def __init__(
@@ -586,14 +599,14 @@ class RollingMarkovFitter:
         prices: np.ndarray,
         step_s: float = float(SAMPLE_INTERVAL_S),
     ) -> None:
-        self._prices = np.asarray(prices, dtype=np.float64)
-        if self._prices.ndim != 1:
+        prices = np.asarray(prices, dtype=np.float64)
+        if prices.ndim != 1:
             raise MarkovError("price series must be one-dimensional")
+        _check_prices(prices)
+        self._levels, self._ids = np.unique(prices, return_inverse=True)
         self._step_s = float(step_s)
         self._lo = 0
         self._hi = 0
-        self._pair_counts: dict[tuple[float, float], int] = {}
-        self._occupancy: dict[float, int] = {}
         self._chains: dict = {}
 
     @property
@@ -601,146 +614,40 @@ class RollingMarkovFitter:
         """Current window as a half-open index span ``[lo, hi)``."""
         return (self._lo, self._hi)
 
-    # -- statistic maintenance -----------------------------------------
-
-    def _add_pairs(self, lo: int, hi: int) -> None:
-        """Count pairs ``(p[i], p[i+1])`` for ``i`` in ``[lo, hi)``."""
-        prices, pairs = self._prices, self._pair_counts
-        for i in range(lo, hi):
-            key = (float(prices[i]), float(prices[i + 1]))
-            pairs[key] = pairs.get(key, 0) + 1
-
-    def _remove_pairs(self, lo: int, hi: int) -> None:
-        pairs = self._pair_counts
-        prices = self._prices
-        for i in range(lo, hi):
-            key = (float(prices[i]), float(prices[i + 1]))
-            left = pairs[key] - 1
-            if left:
-                pairs[key] = left
-            else:
-                del pairs[key]
-
-    def _add_occupancy(self, lo: int, hi: int) -> None:
-        occ, prices = self._occupancy, self._prices
-        for i in range(lo, hi):
-            level = float(prices[i])
-            occ[level] = occ.get(level, 0) + 1
-
-    def _remove_occupancy(self, lo: int, hi: int) -> None:
-        occ, prices = self._occupancy, self._prices
-        for i in range(lo, hi):
-            level = float(prices[i])
-            left = occ[level] - 1
-            if left:
-                occ[level] = left
-            else:
-                del occ[level]
-
-    def _rebuild(self, lo: int, hi: int) -> None:
-        """Recount from scratch (first use, or a jump past the window)."""
-        self._pair_counts.clear()
-        self._occupancy.clear()
-        self._add_pairs(lo, hi - 1)
-        self._add_occupancy(lo, hi)
-
-    def set_window(self, lo: int, hi: int) -> None:
-        """Slide the window to ``[lo, hi)``, updating stats by deltas.
-
-        Overlapping moves touch only the samples entering and leaving;
-        a disjoint jump (or a move larger than the overlap saves)
-        recounts, which is never worse than the non-incremental path.
-        """
-        lo, hi = int(lo), int(hi)
-        if not 0 <= lo <= hi <= self._prices.size:
-            raise MarkovError(
-                f"window [{lo}, {hi}) out of range for {self._prices.size} samples"
-            )
-        if (lo, hi) == (self._lo, self._hi):
-            return
-        overlap = min(hi, self._hi) - max(lo, self._lo)
-        entering = (hi - lo) - max(overlap, 0)
-        leaving = (self._hi - self._lo) - max(overlap, 0)
-        if overlap <= 0 or entering + leaving >= hi - lo:
-            self._rebuild(lo, hi)
-        else:
-            # Shared samples remain counted; pairs straddling a moving
-            # edge are re-derived from the edge indices alone.
-            if lo > self._lo:
-                self._remove_pairs(self._lo, lo)
-                self._remove_occupancy(self._lo, lo)
-            elif lo < self._lo:
-                self._add_pairs(lo, self._lo)
-                self._add_occupancy(lo, self._lo)
-            if hi > self._hi:
-                self._add_pairs(self._hi - 1, hi - 1)
-                self._add_occupancy(self._hi, hi)
-            elif hi < self._hi:
-                self._remove_pairs(hi - 1, self._hi - 1)
-                self._remove_occupancy(hi, self._hi)
-        self._lo, self._hi = lo, hi
-
-    # -- materialization -----------------------------------------------
-
-    def _materialize(self) -> PriceMarkovModel:
-        """Build the chain from the maintained counts.
-
-        Replays ``PriceMarkovModel.fit`` operation for operation on a
-        counts matrix reconstructed from the pair dictionary — the
-        integer counts are identical to ``bincount`` over the window,
-        so every downstream float is bit-identical.
-        """
-        n_samples = self._hi - self._lo
-        if n_samples < 2:
-            raise MarkovError("need at least two samples to fit transitions")
-        occ = self._occupancy
-        levels = np.fromiter(sorted(occ), dtype=np.float64, count=len(occ))
-        index = {level: i for i, level in enumerate(levels.tolist())}
-        n = levels.size
-        counts = np.zeros((n, n), dtype=np.int64)
-        for (a, b), c in self._pair_counts.items():
-            counts[index[a], index[b]] = c
-        counts = counts.astype(np.float64)
-        row_sums = counts.sum(axis=1, keepdims=True)
-        trans = np.where(
-            row_sums > 0, counts / np.where(row_sums == 0, 1, row_sums), 0.0
-        )
-        marginal = counts.sum(axis=0)
-        total = marginal.sum()
-        marginal = marginal / total if total > 0 else np.full(n, 1.0 / n)
-        empty = np.flatnonzero(row_sums[:, 0] == 0)
-        if empty.size:
-            trans[empty] = marginal
-        smoothing = 1.0 / (2.0 * max(n_samples - 1, 1))
-        trans = (1.0 - smoothing) * trans + smoothing * marginal[np.newaxis, :]
-        initial = np.zeros(n)
-        initial[0] = 1.0
-        return PriceMarkovModel(
-            levels=levels,
-            trans=trans,
-            initial=initial,
-            step_s=self.step_s,
-            fit_window_s=n_samples * self.step_s,
-        )
-
     @property
     def step_s(self) -> float:
         return self._step_s
 
+    def set_window(self, lo: int, hi: int) -> None:
+        """Move the window to ``[lo, hi)``."""
+        lo, hi = int(lo), int(hi)
+        if not 0 <= lo <= hi <= self._ids.size:
+            raise MarkovError(
+                f"window [{lo}, {hi}) out of range for {self._ids.size} samples"
+            )
+        self._lo, self._hi = lo, hi
+
     def model(self, current_price: float) -> PriceMarkovModel:
         """The current window's chain, conditioned on ``current_price``.
 
-        Chains are memoized by (window length, transition multiset):
-        windows with identical counts share one chain object — and
-        therefore one stationary eigendecomposition and one absorbing
-        solve table — across buckets.
+        Chains are memoized by (window length, present levels,
+        transition counts): every level of a window of two or more
+        samples appears in some pair, so two windows share a key
+        exactly when they share a transition multiset.
         """
-        key = (
-            self._hi - self._lo,
-            frozenset(self._pair_counts.items()),
-        )
+        n_samples = self._hi - self._lo
+        if n_samples < 2:
+            raise MarkovError("need at least two samples to fit transitions")
+        ids = self._ids[self._lo:self._hi]
+        present = np.flatnonzero(np.bincount(ids))
+        local = np.searchsorted(present, ids)
+        n = present.size
+        counts = np.bincount(local[:-1] * n + local[1:], minlength=n * n)
+        key = (n_samples, present.tobytes(), counts.tobytes())
         base = self._chains.get(key)
         if base is None:
-            base = self._materialize()
+            base = PriceMarkovModel._from_counts(
+                self._levels[present], counts, n_samples, 0, self._step_s
+            )
             self._chains[key] = base
         return base.with_initial(current_price)

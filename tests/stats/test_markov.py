@@ -70,6 +70,11 @@ class TestFit:
         with pytest.raises(MarkovError):
             PriceMarkovModel.fit(np.array([0.3, 0.4]), smoothing=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.3])
+    def test_bad_price_rejected(self, bad):
+        with pytest.raises(MarkovError, match="finite and positive"):
+            PriceMarkovModel.fit(np.array([0.3, bad, 0.3, 0.5]))
+
     def test_fit_window_recorded(self):
         prices = np.full(10, 0.3)
         prices[5] = 0.4

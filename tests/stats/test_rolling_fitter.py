@@ -1,13 +1,13 @@
 """The rolling-window fitter must be invisible in the fitted chains.
 
-``RollingMarkovFitter`` maintains a sliding window's transition counts
-and occupancy incrementally; materializing a chain replays
-``PriceMarkovModel.fit``'s float pipeline on those counts, so every
-window position must yield the *bit-identical* model a full refit of
-the same samples produces — same levels, same transition matrix, same
-stationary vector.  These tests sweep real evaluation-window zones and
-randomized series through overlapping slides, shrinks, grows, and
-disjoint jumps.
+``RollingMarkovFitter`` counts each window with one ``bincount`` over
+per-series level ids and feeds the counts through
+``PriceMarkovModel.fit``'s float pipeline, so every window position
+must yield the *bit-identical* model a full refit of the same samples
+produces — same levels, same transition matrix, same stationary
+vector.  These tests sweep real evaluation-window zones and randomized
+series through overlapping slides, shrinks, grows, disjoint jumps and
+interleaved revisits.
 """
 
 from __future__ import annotations
@@ -60,6 +60,34 @@ class TestBucketSlides:
                     fitter.model(current), reference(prices, lo, hi, current)
                 )
 
+    @pytest.mark.parametrize("window", ["low", "high"])
+    def test_interleaved_far_apart_buckets(self, window):
+        # Rows of one vector batch sit at trace times far apart and
+        # share one fitter per zone, so consecutive windows often do
+        # not overlap at all, and a window is revisited after others.
+        from repro.traces.library import evaluation_window
+
+        trace, eval_start = evaluation_window(window)
+        history = MARKOV_HISTORY_S // SAMPLE_INTERVAL_S
+        per_hour = 3600 // SAMPLE_INTERVAL_S
+        zone = trace.zones[0]
+        prices = zone.prices
+        fitter = RollingMarkovFitter(prices)
+        i0 = zone.index_at(eval_start)
+        first_visit = {}
+        for hour in (0, 40, 3, 37, 0, 40):
+            hi = i0 + hour * per_hour
+            lo = hi - history
+            fitter.set_window(lo, hi)
+            current = float(prices[hi - 1])
+            assert_same_chain(
+                fitter.model(current), reference(prices, lo, hi, current)
+            )
+            # Conditioned on the cheapest level the model is the
+            # memoized chain itself, not a ``with_initial`` copy.
+            base = fitter.model(float(prices[lo:hi].min()))
+            assert first_visit.setdefault(hour, base) is base
+
     def test_calm_stretch_dedups_chain_objects(self):
         prices = np.array([0.3, 0.4] * 300)
         fitter = RollingMarkovFitter(prices)
@@ -98,15 +126,16 @@ class TestWindowMoves:
     def test_disjoint_jump_rebuilds(self):
         fitter = RollingMarkovFitter(self.PRICES)
         self.check(fitter, 0, 20)
-        self.check(fitter, 50, 90)  # no overlap: full recount
-        self.check(fitter, 51, 91)  # then incremental again
+        self.check(fitter, 50, 90)  # no overlap with the last window
+        self.check(fitter, 51, 91)  # then an overlapping slide
 
     def test_same_window_is_a_noop(self):
         fitter = RollingMarkovFitter(self.PRICES)
         self.check(fitter, 0, 30)
-        counts_before = dict(fitter._pair_counts)
+        before = fitter.model(0.3)
         fitter.set_window(0, 30)
-        assert fitter._pair_counts == counts_before
+        assert fitter.window == (0, 30)
+        assert fitter.model(0.3) is before
 
     def test_out_of_range_window_rejected(self):
         fitter = RollingMarkovFitter(self.PRICES)
@@ -116,6 +145,13 @@ class TestWindowMoves:
             fitter.set_window(0, self.PRICES.size + 1)
         with pytest.raises(MarkovError):
             fitter.set_window(10, 5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.5])
+    def test_bad_price_rejected_at_construction(self, bad):
+        prices = self.PRICES.copy()
+        prices[7] = bad
+        with pytest.raises(MarkovError, match="finite and positive"):
+            RollingMarkovFitter(prices)
 
     def test_too_small_window_rejected_at_materialize(self):
         fitter = RollingMarkovFitter(self.PRICES)
