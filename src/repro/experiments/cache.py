@@ -72,8 +72,21 @@ def canonical_value(obj):
     numbers/lists, tuples to lists.  Anything unrecognized raises
     ``TypeError`` — callers treat that as "not cacheable" rather than
     guessing at identity.
+
+    Exact built-in types are dispatched first with ``type(obj) is``:
+    they are nearly every value a run key holds, and the ``isinstance``
+    checks against NumPy and ABC types below cost far more than the
+    reduction itself.  Subclasses (``IntEnum``, named tuples, ...) take
+    the general path, so the output is the same either way.
     """
-    if obj is None or isinstance(obj, (bool, str)):
+    kind = type(obj)
+    if kind is float or kind is int or kind is str or kind is bool or obj is None:
+        return obj
+    if kind is dict:
+        return {str(k): canonical_value(v) for k, v in obj.items()}
+    if kind is list or kind is tuple:
+        return [canonical_value(x) for x in obj]
+    if isinstance(obj, str):
         return obj
     if isinstance(obj, (int, np.integer)):
         return int(obj)
@@ -218,8 +231,13 @@ class RunCache:
             return
         path = self._path(key)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+            except FileNotFoundError:
+                # first entry of this key prefix: create its directory
+                # here rather than re-checking it on every put
+                path.parent.mkdir(parents=True, exist_ok=True)
+                fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
             try:
                 with os.fdopen(fd, "wb") as fh:
                     pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)

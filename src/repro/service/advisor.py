@@ -21,7 +21,7 @@
   the store — the next identical query is warm.
 
 Identical in-flight queries are **coalesced**: concurrent ``advise``
-calls for the same (store, job) key share one computation, so a burst
+calls for equal :class:`JobSpec` values share one computation, so a burst
 of duplicate queries costs one lookup (or one cold build), not N.
 :func:`serve_lines` wraps the service in a JSON-lines request loop —
 the benchmarking front end behind ``repro-spotsim serve``.
@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
-from repro.experiments.cache import content_key
 from repro.service.surface import (
     PolicySurface,
     SurfaceBuilder,
@@ -61,6 +61,10 @@ class JobSpec:
     window: str = "low"
 
     def __post_init__(self) -> None:
+        for name in ("compute_s", "deadline_s", "ckpt_cost_s", "budget"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.compute_s <= 0:
             raise ValueError(f"compute time must be positive, got {self.compute_s}")
         if self.deadline_s < self.compute_s:
@@ -204,7 +208,7 @@ class AdvisorService:
         self._cold_template = cold_spec
         self._catalog: list[SurfaceSpec] = store.catalog()
         self._hot: OrderedDict[str, PolicySurface] = OrderedDict()
-        self._inflight: dict[str, asyncio.Task] = {}
+        self._inflight: dict[JobSpec, asyncio.Task] = {}
         self.stats = ServiceStats()
 
     # -- surface selection -------------------------------------------------
@@ -390,20 +394,20 @@ class AdvisorService:
     async def advise(self, job: JobSpec) -> Advice:
         """Answer one query, coalescing with identical in-flight ones.
 
-        The coalescing key is the job's content address, so "identical"
-        means value-identical, not object-identical.  The shared task
-        is shielded from any single caller's cancellation — the other
-        waiters (and the write-through of a cold build) still complete.
+        The coalescing key is the frozen :class:`JobSpec` itself, so
+        "identical" means value-identical (equal fields), not
+        object-identical.  The shared task is shielded from any single
+        caller's cancellation — the other waiters (and the
+        write-through of a cold build) still complete.
         """
         self.stats.queries += 1
-        key = content_key({"advise": job})
-        task = self._inflight.get(key)
+        task = self._inflight.get(job)
         if task is not None:
             self.stats.coalesced += 1
             return await asyncio.shield(task)
         task = asyncio.ensure_future(self._compute(job))
-        self._inflight[key] = task
-        task.add_done_callback(lambda _t: self._inflight.pop(key, None))
+        self._inflight[job] = task
+        task.add_done_callback(lambda _t: self._inflight.pop(job, None))
         return await asyncio.shield(task)
 
 
@@ -433,17 +437,20 @@ async def serve_lines(
     gathered ``batch_size`` at a time, so identical queries within a
     batch coalesce; responses come back in input order, one JSON object
     per line (``{"error": ...}`` for a malformed or unanswerable
-    query).  Returns the number of queries answered successfully.
+    query, with its ``"id"`` when the line parsed as an object).
+    Returns the number of queries answered successfully.
     """
     answered = 0
     for chunk in _batched(lines, batch_size):
         jobs: list[tuple[object, JobSpec | None, str | None]] = []
         for line in chunk:
+            qid = None
             try:
                 payload = json.loads(line)
-                jobs.append((payload.get("id"), JobSpec.from_payload(payload), None))
-            except (ValueError, KeyError, TypeError) as exc:
-                jobs.append((None, None, f"bad query: {exc}"))
+                qid = payload.get("id")
+                jobs.append((qid, JobSpec.from_payload(payload), None))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                jobs.append((qid, None, f"bad query: {exc}"))
         results = await asyncio.gather(
             *(
                 service.advise(job)

@@ -23,7 +23,7 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -72,6 +72,8 @@ class SurfaceSpec:
     zone_counts: tuple[int, ...] = DEFAULT_ZONE_COUNTS
     num_experiments: int = 20
     seed: int = DEFAULT_SEED
+    #: Memo of :meth:`key` (canonicalization skips ``_`` fields).
+    _key: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for label in self.policies:
@@ -100,15 +102,32 @@ class SurfaceSpec:
         )
 
     def key(self) -> str:
-        """Content address of the surface this spec describes."""
-        return content_key({"schema": SURFACE_SCHEMA_VERSION, "spec": self})
+        """Content address of the surface this spec describes.
+
+        Hashed on first use and kept on the (frozen) instance: the
+        advisor asks for the key of every spec it selects.
+        """
+        if self._key is None:
+            object.__setattr__(
+                self,
+                "_key",
+                content_key({"schema": SURFACE_SCHEMA_VERSION, "spec": self}),
+            )
+        return self._key
 
     def covers(self, compute_s: float, deadline_s: float, ckpt_cost_s: float) -> bool:
-        """Exact job-shape match (the warm path's admission test)."""
+        """Exact job-shape match (the warm path's admission test).
+
+        ``np.isclose(spec_value, job_value, rtol=1e-9, atol=1e-6)`` per
+        axis, spelled as plain float arithmetic: the advisor scans its
+        whole catalog per query, and scalar NumPy calls dominate that
+        scan.  Equal to ``np.isclose`` for every finite input.
+        """
         return (
-            np.isclose(self.compute_s, compute_s, rtol=1e-9, atol=1e-6)
-            and np.isclose(self.deadline_s, deadline_s, rtol=1e-9, atol=1e-6)
-            and np.isclose(self.ckpt_cost_s, ckpt_cost_s, rtol=1e-9, atol=1e-6)
+            abs(self.compute_s - compute_s) <= 1e-6 + 1e-9 * abs(compute_s)
+            and abs(self.deadline_s - deadline_s) <= 1e-6 + 1e-9 * abs(deadline_s)
+            and abs(self.ckpt_cost_s - ckpt_cost_s)
+            <= 1e-6 + 1e-9 * abs(ckpt_cost_s)
         )
 
 
@@ -303,15 +322,30 @@ class SurfaceStore:
             raise
         return path
 
+    def _read(self, path: Path, key: str) -> PolicySurface:
+        surface = PolicySurface.from_payload(json.loads(path.read_text()))
+        if surface.key != key:
+            raise ValueError(
+                f"{path.name} holds surface {surface.key}, not {key}"
+            )
+        return surface
+
     def load(self, key: str) -> PolicySurface:
-        return PolicySurface.from_payload(json.loads(self.path(key).read_text()))
+        """The artifact stored under ``key``.
+
+        Raises ``ValueError`` when the file's spec does not hash to
+        ``key`` (a copied or renamed artifact), so a surface is never
+        served under another spec's address.  This is the one place a
+        loaded spec is hashed; the key then stays memoized on it.
+        """
+        return self._read(self.path(key), key)
 
     def surfaces(self) -> Iterator[PolicySurface]:
-        """Every readable artifact in the store (unreadable or foreign
-        JSON files are skipped, not fatal)."""
+        """Every loadable artifact in the store (unreadable, foreign or
+        misnamed JSON files are skipped, not fatal)."""
         for path in sorted(self.root.glob("surface-*.json")):
             try:
-                yield PolicySurface.from_payload(json.loads(path.read_text()))
+                yield self._read(path, path.stem.removeprefix("surface-"))
             except (OSError, ValueError, KeyError, json.JSONDecodeError):
                 continue
 

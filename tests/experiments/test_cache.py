@@ -9,6 +9,8 @@ here as fresh :class:`RunCache` instances over one directory).
 
 from __future__ import annotations
 
+from collections import OrderedDict, namedtuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,6 +29,7 @@ from repro.experiments.cache import (
 from repro.experiments.runner import ExperimentRunner
 from repro.market.queuing import QueueDelayModel
 from repro.market.spot_market import PriceOracle
+from repro.service.surface import SurfaceSpec
 from repro.traces.library import evaluation_window
 from repro.traces.model import ZoneTrace
 
@@ -130,6 +133,17 @@ class TestDiskLayer:
         warm = _run(_sim(window, fresh), window)
         assert warm == cold
         assert fresh.stats.disk_hits == 1 and fresh.stats.misses == 0
+
+    def test_put_recreates_a_removed_prefix_directory(self, window, tmp_path):
+        cache = RunCache(tmp_path)
+        _run(_sim(window, cache), window)
+        (entry,) = cache.disk_entries()
+        entry.unlink()
+        entry.parent.rmdir()
+        fresh = RunCache(tmp_path)
+        _run(_sim(window, fresh), window)
+        assert fresh.stats.misses == 1
+        assert list(fresh.disk_entries()) == [entry]
 
     def test_usage_and_clear(self, window, tmp_path):
         cache = RunCache(tmp_path)
@@ -240,9 +254,97 @@ class TestCanonicalKeys:
         assert content_key(np.int64(3)) == content_key(3)
         assert content_key({"a": (1, 2)}) == content_key({"a": [1, 2]})
 
+    def test_bool_is_not_int(self):
+        assert canonical_value(True) is True
+        assert canonical_value([True, 1]) == [True, 1]
+        assert content_key(True) != content_key(1)
+        assert content_key({"a": True}) != content_key({"a": 1})
+
+    def test_numpy_float_is_float(self):
+        value = canonical_value(np.float64(0.81))
+        assert type(value) is float and value == 0.81
+        assert canonical_value([np.float64(1.5), 1.5]) == [1.5, 1.5]
+        assert content_key(np.float64(1.0)) == content_key(1.0)
+        assert content_key(np.float64(1.0)) != content_key(1)
+
+    def test_subclasses_of_builtins_reduce_like_their_base(self):
+        class Label(str):
+            pass
+
+        Pair = namedtuple("Pair", "a b")
+        assert canonical_value(Label("x")) == "x"
+        assert canonical_value(Pair(1, 2.0)) == [1, 2.0]
+        assert canonical_value(OrderedDict(a=(1,))) == {"a": [1]}
+
     def test_uncanonical_raises(self):
         with pytest.raises(TypeError):
             canonical_value(object())
+
+
+SPEC = dict(
+    window="low", compute_s=2 * 3600.0, deadline_s=3 * 3600.0,
+    ckpt_cost_s=300.0, restart_cost_s=300.0, policies=("periodic",),
+    bids=(0.27, 0.81), zone_counts=(1,), num_experiments=2,
+)
+RUN_PARTS = {
+    "trace": "f" * 64,
+    "oracle": {"history_s": 86400.0 * 7, "bucket_s": 3600.0,
+               "incremental": True},
+    "engine_mode": "fast",
+    "record_events": False,
+    "record_timeline": False,
+    "config": ExperimentConfig(compute_s=72000.0, deadline_s=86400.0,
+                               ckpt_cost_s=300.0, restart_cost_s=300.0),
+    "policy": {"name": "periodic"},
+    "bid": np.float64(0.81),
+    "zones": ("us-east-1a", "us-east-1b"),
+    "start_time": np.float64(1.5e6),
+    "controller": None,
+    "queue_model": QueueDelayModel(),
+    "rng": np.random.default_rng(7).bit_generator.state,
+}
+
+
+class TestAddressStability:
+    """Pinned digests: run-cache entries and surface artifacts on disk
+    are named by these keys, so any change to the canonical encoding
+    orphans every existing store.  A failure here means the key layout
+    changed — bump the schema version on purpose or restore the
+    encoding."""
+
+    def test_surface_keys(self):
+        assert SurfaceSpec(**SPEC).key() == (
+            "cecfdbe126805b2dc01175b06e5379f3520147e2b059ca8a181aa7b3d474a836"
+        )
+        assert SurfaceSpec(
+            window="high", compute_s=72000.0, deadline_s=86400.0,
+            ckpt_cost_s=300.0, restart_cost_s=300.0,
+        ).key() == (
+            "a14612fe55751e46383b6460fa3d21284439b41cd4f6cbb909025224fe42a78b"
+        )
+
+    def test_run_keys(self):
+        """An RNG state, dataclass configs, NumPy scalars and a tuple."""
+        cache = RunCache()
+        assert cache.run_key(RUN_PARTS) == (
+            "99f4c68bf0061c71d0486a3a52e53e7299977f8da526306094bbaf14182aa4e3"
+        )
+        # NumPy scalars address the same entry as the Python numbers
+        assert cache.run_key(
+            {**RUN_PARTS, "bid": 0.81, "start_time": 1.5e6}
+        ) == cache.run_key(RUN_PARTS)
+        assert cache.run_key({
+            **RUN_PARTS, "zones": ("a",), "num": np.int64(3),
+            "flags": [True, 1, 1.0],
+        }) == "a639f676cda9ac97abae85d3b3ee18f8af0f3173d5a202451b575672b850a59a"
+
+    def test_scalar_keys(self):
+        assert content_key(True) == (
+            "b5bea41b6c623f7c09f1bf24dcae58ebab3c0cdd90ad966bc43a45b44867e12b"
+        )
+        assert content_key(1) == (
+            "6b86b273ff34fce19d6b804eff5a3f5747ada4eaa22f1d49c01e52ddb7875b4b"
+        )
 
 
 class TestFingerprints:

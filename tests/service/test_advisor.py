@@ -69,6 +69,13 @@ class TestJobSpec:
         with pytest.raises(ValueError):
             JobSpec(compute_s=3600.0, deadline_s=7200.0, ckpt_cost_s=0.0)
 
+    @pytest.mark.parametrize("field", ["compute_s", "deadline_s", "ckpt_cost_s", "budget"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_are_rejected(self, field, value):
+        fields = dict(compute_s=3600.0, deadline_s=7200.0, ckpt_cost_s=300.0)
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            JobSpec(**{**fields, field: value})
+
     def test_from_payload(self):
         spec = JobSpec.from_payload(
             {"compute_s": 7200, "deadline_s": 10800, "ckpt_cost_s": 300,
@@ -243,3 +250,30 @@ class TestServeLines:
         assert "error" in responses[3]
         assert "error" in responses[4]
         assert service.stats.coalesced >= 1
+
+    def test_nan_literal_is_a_bad_query(self, store):
+        """A ``NaN`` deadline is answered with an error, never a build."""
+        lines = [
+            '{"id": 1, "compute_s": 7200, "deadline_s": NaN, "ckpt_cost_s": 300}',
+            json.dumps({"id": 2, "compute_s": BASE["compute_s"],
+                        "deadline_s": DEADLINE,
+                        "ckpt_cost_s": BASE["ckpt_cost_s"]}),
+        ]
+        service = AdvisorService(store)
+        out = io.StringIO()
+        answered = run(serve_lines(service, lines, out))
+        responses = [json.loads(x) for x in out.getvalue().splitlines()]
+        assert answered == 1
+        assert responses[0]["id"] == 1
+        assert responses[0]["error"].startswith("bad query: deadline_s")
+        assert responses[1]["source"] == "surface"
+        assert service.stats.queries == 1
+        assert service.stats.cold_builds == 0
+
+    def test_non_object_line_is_a_bad_query(self, store):
+        out = io.StringIO()
+        answered = run(serve_lines(AdvisorService(store), ["[1, 2]"], out))
+        assert answered == 0
+        response = json.loads(out.getvalue())
+        assert response["id"] is None
+        assert response["error"].startswith("bad query")

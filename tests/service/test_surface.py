@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.service.surface import (
     SURFACE_SCHEMA_VERSION,
@@ -50,11 +54,70 @@ class TestSpec:
         assert not spec.covers(2 * 3600.0, 3 * 3600.0 + 60.0, 300.0)
         assert not spec.covers(2 * 3600.0, 3 * 3600.0, 900.0)
 
+    def test_key_is_memoized_on_the_instance(self):
+        spec = SurfaceSpec(**SMALL)
+        assert spec._key is None
+        key = spec.key()
+        assert spec._key == key and spec.key() is key
+        assert spec == SurfaceSpec(**SMALL)  # the memo is not compared
+
     def test_rejects_unknown_policy_and_empty_axes(self):
         with pytest.raises(ValueError):
             SurfaceSpec(**{**SMALL, "policies": ("no-such-policy",)})
         with pytest.raises(ValueError):
             SurfaceSpec(**{**SMALL, "bids": ()})
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _near(draw, b):
+    """``b`` itself, any finite float, or a value within three ulps of
+    the ``atol + rtol*|b|`` tolerance edge around ``b``."""
+    kind = draw(st.sampled_from(["same", "any", "edge"]))
+    if kind == "same":
+        return b
+    if kind == "any":
+        return draw(FINITE)
+    edge = 1e-6 + 1e-9 * abs(b)
+    a = b + draw(st.sampled_from([edge, -edge]))
+    steps = draw(st.integers(-3, 3))
+    for _ in range(abs(steps)):
+        a = math.nextafter(a, math.inf if steps > 0 else -math.inf)
+    return a
+
+
+@st.composite
+def _spec_and_job_shapes(draw):
+    job = [draw(FINITE) for _ in range(3)]
+    return [draw(_near(b)) for b in job], job
+
+
+#: Spec values exactly on the tolerance edge of a zero job value
+#: (``|a - b| == atol``), one axis at a time, and one ulp past it.
+EDGE = 1e-6
+PAST = math.nextafter(EDGE, math.inf)
+
+
+class TestCoversParity:
+    @given(_spec_and_job_shapes())
+    @example(([EDGE, 1.0, 1.0], [0.0, 1.0, 1.0]))
+    @example(([1.0, EDGE, 1.0], [1.0, 0.0, 1.0]))
+    @example(([1.0, 1.0, EDGE], [1.0, 1.0, 0.0]))
+    @example(([1.0, PAST, 1.0], [1.0, 0.0, 1.0]))
+    @settings(max_examples=500, deadline=None)
+    def test_covers_equals_np_isclose(self, shapes):
+        """``covers`` is the conjunction of the three ``np.isclose``
+        checks it replaced, including at the tolerance edge."""
+        (spec_c, spec_d, spec_t), job_shape = shapes
+        spec = SurfaceSpec(**{**SMALL, "compute_s": spec_c,
+                              "deadline_s": spec_d, "ckpt_cost_s": spec_t})
+        want = all(
+            bool(np.isclose(a, b, rtol=1e-9, atol=1e-6))
+            for a, b in zip((spec_c, spec_d, spec_t), job_shape)
+        )
+        assert spec.covers(*job_shape) == want
 
 
 class TestCell:
@@ -151,6 +214,19 @@ class TestStore:
             json.dumps({"format": "other"})
         )
         assert [s.key for s in fresh.surfaces()] == [surface.key]
+
+    def test_misnamed_artifact_is_refused(self, built, tmp_path):
+        """A copy under another spec's file name is not served as it."""
+        store, surface = built
+        fresh = SurfaceStore(tmp_path)
+        fresh.save(surface)
+        other = SurfaceSpec(**{**SMALL, "deadline_s": 2.5 * 3600.0}).key()
+        fresh.path(other).write_text(fresh.path(surface.key).read_text())
+        with pytest.raises(ValueError, match=surface.key):
+            fresh.load(other)
+        assert fresh.load(surface.key) == surface
+        assert [s.key for s in fresh.surfaces()] == [surface.key]
+        assert fresh.catalog() == [surface.spec]
 
     def test_rebuild_is_identical_and_cache_backed(self, built):
         """Same spec -> same artifact; the second build runs over the
