@@ -30,9 +30,14 @@ structured event log as JSONL.
 ``--cache-dir DIR`` enables the content-addressed run cache
 (:mod:`repro.experiments.cache`): every engine run is memoized on
 disk keyed by the hash of its inputs, so rerunning a figure against a
-warm directory skips simulation entirely with identical output.  A
-``run-cache: hits=... misses=...`` summary goes to stderr.  Inspect
-or empty a cache directory with ``repro-spotsim cache DIR [--clear]``.
+warm directory skips simulation entirely with identical output.  The
+directory holds append-only segments, one per batch of runs, each
+published atomically (temp file + rename) and checksummed per record
+with an explicit codec (no pickle); a corrupt or truncated segment only
+costs re-simulation, and directories from the older one-pickle-per-run
+layout simply miss.  A ``run-cache: hits=... misses=...`` summary goes
+to stderr.  Inspect (runs, segments, size) or empty a cache directory
+with ``repro-spotsim cache DIR [--clear]``.
 """
 
 from __future__ import annotations
@@ -88,9 +93,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "appends to PATH.w<pid>)")
     parser.add_argument("--cache-dir", metavar="DIR", default=None,
                         help="content-addressed run cache directory: engine "
-                             "runs are memoized on disk, so warm reruns skip "
-                             "simulation with identical results (created if "
-                             "missing; see the 'cache' command to inspect)")
+                             "runs are memoized on disk as checksummed, "
+                             "atomically published segments (one per batch of "
+                             "runs), so warm reruns skip simulation with "
+                             "identical results; corrupt segments and legacy "
+                             ".pkl directories miss (created if missing; see "
+                             "the 'cache' command to inspect)")
 
 
 def _audit_enabled(args: argparse.Namespace) -> bool:
@@ -237,7 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cache", help="inspect or clear a --cache-dir directory")
     p.add_argument("dir", help="run-cache directory")
     p.add_argument("--clear", action="store_true",
-                   help="remove every cached entry instead of summarizing")
+                   help="remove every segment, temp-file orphan and "
+                        "legacy .pkl entry instead of summarizing")
 
     p = sub.add_parser(
         "surface",
@@ -503,6 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         print(render_timeline(result, oracle, width=args.width,
                               title=f"Figure 1-style timeline ({policy.name})"))
         if cache is not None:
+            cache.flush()
             _report_cache(args, cache.stats)
         if auditor is not None:
             status = _report_audit(auditor.drain())
@@ -601,6 +611,7 @@ def main(argv: list[str] | None = None) -> int:
             zone = event.zone or "-"
             print(f"  {offset_h:7.2f}h  {event.kind:<22s} {zone:<12s} {event.detail}")
         if cache is not None:
+            cache.flush()
             _report_cache(args, cache.stats)
         if auditor is not None:
             status = _report_audit(auditor.drain())
@@ -655,7 +666,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"cleared {removed} cached runs from {args.dir}")
         else:
             count, size = cache.disk_usage()
-            print(f"{args.dir}: {count} cached runs, {size / 1e6:.2f} MB")
+            print(f"{args.dir}: {count} cached runs in "
+                  f"{len(cache.segments())} segments, {size / 1e6:.2f} MB")
     elif args.command == "surface":
         status = _cmd_surface(args)
     elif args.command == "advise":

@@ -197,7 +197,9 @@ class SpotSimulator:
     #: simulating and stored after; hits replay the queue-delay draws
     #: against ``rng`` so subsequent runs see an unchanged stream.
     #: Runs with an attached auditor, run-time dynamics callbacks or a
-    #: non-canonicalizable controller bypass the cache.
+    #: non-canonicalizable controller bypass the cache.  Stores are
+    #: buffered for the disk layer: the caller decides when a batch of
+    #: runs is complete and calls the cache's ``flush()``.
     run_cache: "object | None" = None
     #: Queue-delay draws consumed by the current run (cache bookkeeping).
     _rng_draws: int = field(default=0, repr=False)

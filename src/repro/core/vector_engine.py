@@ -225,7 +225,8 @@ class VectorSimulator:
     #: compute the *same* content addresses as the scalar fast engine
     #: (``engine_mode="fast"`` in the key), so entries interoperate in
     #: both directions: a vector batch hits entries a scalar run stored
-    #: and vice versa.
+    #: and vice versa.  Each batch flushes the runs it stored, so they
+    #: reach the disk layer as one segment.
     run_cache: object | None = None
     #: Running native/cloned/fallback counters across every batch this
     #: simulator served; drained by the runner for the CLI stats line.
@@ -339,6 +340,7 @@ class VectorSimulator:
                     FALLBACK_POLICY, configs[shape_idx[i]], policy_factory(),
                     bids[i], zones, starts[i], rngs[i],
                 )
+            self._flush_cache()
             return results
 
         # Bid-equivalence clone plan: honored only for bid-invariant
@@ -436,6 +438,7 @@ AdaptiveController` exactly (a subclass may override decision rules the
                     PeriodicPolicy(), ctrl.bids[0], init_zones, starts[i],
                     rngs[i], ctrl,
                 )
+            self._flush_cache()
             return results
         params = probe.canonical_params()
         self._serve_rows(
@@ -502,6 +505,11 @@ AdaptiveController` exactly (a subclass may override decision rules the
         )
         return sim.run(config, policy, bid, zones, start,
                        controller=controller)
+
+    def _flush_cache(self) -> None:
+        """Publish this batch's stored runs as one run-cache segment."""
+        if self.run_cache is not None:
+            self.run_cache.flush()
 
     def _serve_rows(
         self, configs, policy, zones, shape_idx, bids, starts, rngs,
@@ -575,6 +583,8 @@ AdaptiveController` exactly (a subclass may override decision rules the
                     keys[i],
                     CachedRun(result=batch[j], rng_draws=int(draws[j])),
                 )
+        if keys:
+            cache.flush()
 
     # -- the lockstep core -------------------------------------------------
 

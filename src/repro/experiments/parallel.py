@@ -274,7 +274,10 @@ def _worker_extras() -> tuple[
     AuditReport | None, CacheStats | None, BatchStats | None
 ]:
     """Drained per-call side channels: audit report, cache counters and
-    the vector engine's native/fallback tallies."""
+    the vector engine's native/fallback tallies.  Flushes the worker's
+    run cache first, so every chunk's stored runs are on disk (one
+    segment per chunk) before its results reach the parent."""
+    _WORKER_RUNNER.flush_cache()
     report = _WORKER_RUNNER.drain_audit() if _WORKER_RUNNER.audit else None
     stats = (
         _WORKER_RUNNER.drain_cache_stats()

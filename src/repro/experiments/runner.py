@@ -290,8 +290,16 @@ class ExperimentRunner:
             )
         return self._executor
 
+    def flush_cache(self) -> None:
+        """Publish the run cache's buffered stores as one segment (a
+        no-op without a cache or with nothing pending)."""
+        if self.cache is not None:
+            self.cache.flush()
+
     def close(self) -> None:
-        """Shut down the worker pool and audit sink, if started."""
+        """Flush the run cache; shut down the worker pool and audit
+        sink, if started."""
+        self.flush_cache()
         if self._executor is not None:
             self._executor.close()
             self._executor = None
@@ -547,6 +555,7 @@ class ExperimentRunner:
         records = []
         for start in starts:
             records.extend(self.run_cell(task, start))
+        self.flush_cache()
         return records
 
     # -- batched bid axis --------------------------------------------------
@@ -638,6 +647,7 @@ class ExperimentRunner:
         for start in starts:
             for bid, records in self.run_bid_axis_cell(task, bids, start):
                 out[bid].extend(records)
+        self.flush_cache()
         return out
 
     # -- fused (bid x start) grid ------------------------------------------

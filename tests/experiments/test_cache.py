@@ -135,15 +135,24 @@ class TestDiskLayer:
         assert fresh.stats.disk_hits == 1 and fresh.stats.misses == 0
 
     def test_put_recreates_a_removed_prefix_directory(self, window, tmp_path):
-        cache = RunCache(tmp_path)
+        """A cache directory removed under an open cache is recreated by
+        the next flush, which publishes the re-simulated run once."""
+        import shutil
+
+        root = tmp_path / "rc"
+        cache = RunCache(root)
         _run(_sim(window, cache), window)
-        (entry,) = cache.disk_entries()
-        entry.unlink()
-        entry.parent.rmdir()
-        fresh = RunCache(tmp_path)
+        (key,) = cache.disk_entries()
+        fresh = RunCache(root)
+        shutil.rmtree(root)
         _run(_sim(window, fresh), window)
+        assert fresh.flush() == 1
         assert fresh.stats.misses == 1
-        assert list(fresh.disk_entries()) == [entry]
+        assert len(fresh.segments()) == 1
+        assert list(fresh.disk_entries()) == [key]
+        reopened = RunCache(root)
+        _run(_sim(window, reopened), window)
+        assert reopened.stats.disk_hits == 1
 
     def test_usage_and_clear(self, window, tmp_path):
         cache = RunCache(tmp_path)
@@ -155,24 +164,28 @@ class TestDiskLayer:
         assert len(cache) == 0
 
     def test_stale_tmp_swept_on_open(self, window, tmp_path):
-        """A temp file orphaned by a dead worker (mkstemp happened,
+        """A temp file orphaned by a dead writer (mkstemp happened,
         os.replace never did) is removed the next time the cache
-        directory is opened — once it is old enough to be abandoned."""
+        directory is opened — once it is old enough to be abandoned.
+        Orphans in a legacy key-prefix directory are swept too."""
         import os
         import time as _time
 
         cache = RunCache(tmp_path)
         _run(_sim(window, cache), window)
-        bucket = next(cache.disk_entries()).parent
-        stale = bucket / "deadbeef.tmp"
-        stale.write_bytes(b"partial pickle")
+        cache.flush()
+        legacy = tmp_path / "ab"
+        legacy.mkdir()
+        stale = [tmp_path / "deadbeef.tmp", legacy / "deadbeef.tmp"]
         old = _time.time() - 7200.0
-        os.utime(stale, (old, old))
+        for path in stale:
+            path.write_bytes(b"partial segment")
+            os.utime(path, (old, old))
         fresh = tmp_path / "fresh.tmp"
         fresh.write_bytes(b"in-flight write")
 
         reopened = RunCache(tmp_path)
-        assert not stale.exists()  # abandoned orphan swept
+        assert not any(path.exists() for path in stale)  # orphans swept
         assert fresh.exists()  # a live writer's file survives the sweep
         assert reopened.disk_usage()[0] == 1  # the real entry is intact
 
@@ -187,8 +200,8 @@ class TestDiskLayer:
     def test_corrupt_entry_is_a_miss(self, window, tmp_path):
         _run(_sim(window, RunCache(tmp_path)), window)
         fresh = RunCache(tmp_path)
-        for path in fresh.disk_entries():
-            path.write_bytes(b"not a pickle")
+        (segment,) = fresh.segments()
+        segment.write_bytes(b"not a segment")
         result = _run(_sim(window, fresh), window)
         assert fresh.stats.misses == 1 and fresh.stats.hits == 0
         assert result == _run(_sim(window), window)

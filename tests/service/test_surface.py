@@ -236,6 +236,6 @@ class TestStore:
         assert rebuilt.cells == surface.cells
         assert rebuilt.key == surface.key
         cache_files = list(
-            (store.root / "runcache").glob("**/*.pkl")
+            (store.root / "runcache").glob("*.seg")
         )
         assert cache_files
