@@ -3,8 +3,8 @@
 Two paper-shaped workloads gate the memoization layers added on top
 of the engine:
 
-* a Figure-5-style bid sweep, where the batched bid-axis executor
-  (:meth:`~repro.experiments.runner.ExperimentRunner.run_bid_axis`)
+* a Figure-5-style bid sweep, where one bid-axis cube cell
+  (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`)
   collapses bid-invariant runs into availability-equivalence classes,
   and
 * a Figure-4-style policy sweep rerun against a warm on-disk run
@@ -56,8 +56,9 @@ def _write_bench(**fields) -> None:
 def test_batched_bid_axis_speedup(benchmark, bench_experiments):
     """Batched bid axis vs one independent run per bid.
 
-    Times the per-bid baseline once with a wall clock, benchmarks the
-    batched executor, checks the per-bid records match exactly, and
+    Times the per-bid baseline (``run_single_zone`` once per bid, per
+    run on the fast engine) once with a wall clock, benchmarks the
+    bid-axis cube cell, checks the per-bid records match exactly, and
     writes the measured ``speedup_bid_axis`` to ``BENCH_cache.json``.
     """
     n = min(bench_experiments, 8)
@@ -65,14 +66,15 @@ def test_batched_bid_axis_speedup(benchmark, bench_experiments):
 
     baseline_runner = ExperimentRunner("low", num_experiments=n)
     t0 = time.perf_counter()
-    per_bid = baseline_runner.run_bid_axis(
-        "periodic", config, BID_GRID, batched=False
-    )
+    per_bid = {
+        bid: baseline_runner.run_single_zone("periodic", config, bid)
+        for bid in BID_GRID
+    }
     per_bid_s = time.perf_counter() - t0
 
     batched_runner = ExperimentRunner("low", num_experiments=n)
-    batched = benchmark(
-        batched_runner.run_bid_axis, "periodic", config, BID_GRID
+    (batched,) = benchmark(
+        batched_runner.run_cube, "periodic", [config], BID_GRID
     )
     assert batched == per_bid  # identical records at every bid
 

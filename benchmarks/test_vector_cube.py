@@ -7,8 +7,8 @@ ways on the calm window's first zone:
 
 * one fast simulator per (shape, policy, bid, start) — the scalar
   loop a pre-vector surface-family build would run;
-* one fused (bid x start) :meth:`ExperimentRunner.run_grid` tile per
-  (shape, policy) — the PR-9 engine, shapes still sequential;
+* one fused (bid x start) tile per (shape, policy) — a one-shape
+  :meth:`ExperimentRunner.run_cube` each, shapes still sequential;
 * one :meth:`ExperimentRunner.run_cube` pass per policy cell — the
   whole ladder advancing in lockstep, shape rows sharing the
   zone-dynamics column work and the price lookups.
@@ -78,7 +78,7 @@ def _per_shape_grids(runner: ExperimentRunner, shapes, zones) -> dict:
     """One fused (bid x start) tile per (shape, policy): shapes in
     sequence, each tile re-deriving its own zone dynamics."""
     return {
-        label: [runner.run_grid(label, cfg, CUBE_BIDS, zones=zones)
+        label: [runner.run_cube(label, [cfg], CUBE_BIDS, zones=zones)[0]
                 for cfg in shapes]
         for label in CUBE_POLICIES
     }

@@ -3,8 +3,8 @@
 A Figure-4-style grid — all five paper policies over a 15-bid axis,
 plus the Naive and Adaptive cells, over ``REPRO_BENCH_GRID_STARTS``
 overlapping starts — runs once as a per-run fast loop (one simulator
-per (policy, bid, start)) and once through
-:meth:`ExperimentRunner.run_grid`, which advances each (policy,
+per (policy, bid, start)) and once through a one-shape
+:meth:`ExperimentRunner.run_cube`, which advances each (policy,
 zone-set) cell's whole (bid x start) tile in lockstep: native columns
 for every policy kind (Naive/Large-bid included), bid-equivalence
 clones for the bid-invariant ones, and batched controller decisions
@@ -70,7 +70,7 @@ def _grid_sweep(runner: ExperimentRunner, config) -> dict:
     zones = runner.trace.zone_names[:1]
     out = {}
     for label in GRID_POLICIES:
-        cell = runner.run_grid(label, config, GRID_BIDS, zones=zones)
+        (cell,) = runner.run_cube(label, [config], GRID_BIDS, zones=zones)
         for bid in GRID_BIDS:
             out[(label, bid)] = cell[bid]
     out[("naive", None)] = runner.run_large_bid(config, None,

@@ -348,8 +348,9 @@ def vector_differential_run(
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=qm, record_events=True
     )
-    vector_results = vec.run_batch(
-        config, policy_factory, bid, zones, starts, start_rngs()
+    vector_results = vec.run_cube(
+        [config], policy_factory, zones, [0] * len(starts),
+        [bid] * len(starts), starts, start_rngs(),
     )
 
     report = VectorDifferentialReport(
@@ -478,8 +479,9 @@ def vector_differential_grid(
     """Replay a fused (bid x start) tile and diff it row by row.
 
     Rows are laid out start-major over the bid grid — the layout
-    ``ExperimentRunner.run_grid_cell`` feeds the engine — including the
-    availability-equivalence clone plan for bid-invariant policies.
+    ``ExperimentRunner.run_cube_cell`` feeds the engine for one shape —
+    including the availability-equivalence clone plan for bid-invariant
+    policies.
     The scalar side simulates *every* row independently through an
     audited fast engine, so cloned rows are held to the strongest
     standard: bit-identical to a full independent run at their own
@@ -540,9 +542,9 @@ def vector_differential_grid(
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=qm, record_events=True
     )
-    vector_results = vec.run_grid(
-        config, policy_factory, zones, row_bids, row_starts, row_rngs(),
-        clone_of=clone_of,
+    vector_results = vec.run_cube(
+        [config], policy_factory, zones, [0] * len(row_starts), row_bids,
+        row_starts, row_rngs(), clone_of=clone_of,
     )
 
     report = VectorDifferentialReport(

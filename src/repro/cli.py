@@ -76,13 +76,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("fast", "tick", "vector"),
                         default="fast",
                         help="simulation engine: 'fast' skips event-free "
-                             "segments, 'tick' is the reference tick-by-tick "
-                             "loop, 'vector' advances each grid cell's whole "
-                             "(bid x start) grid in lockstep through the "
-                             "struct-of-arrays engine with per-run fast "
-                             "fallback (results are bit-identical across "
-                             "all three; a 'vector-engine: native=...' "
-                             "summary goes to stderr)")
+                             "segments, 'tick' runs the reference "
+                             "tick-by-tick loop everywhere, 'vector' also "
+                             "advances single-bid cells' start axes in "
+                             "lockstep through the struct-of-arrays engine "
+                             "with per-run fast fallback; bid-axis cells "
+                             "take that engine under 'fast' too (results "
+                             "are bit-identical across all three; a "
+                             "'vector-engine: native=...' summary goes to "
+                             "stderr)")
     parser.add_argument("--audit", action="store_true",
                         help="attach the run-audit layer: validate billing, "
                              "progress, state-machine and deadline invariants "
@@ -146,10 +148,9 @@ def _report_cache(args: argparse.Namespace, stats) -> None:
 def _report_vector(args: argparse.Namespace, stats) -> None:
     """Print the vector engine's native/cloned/fallback tally to stderr.
 
-    ``stats`` is ``None`` when no vector batch ran at all (engine !=
-    vector and nothing routed through the start-axis batcher) — then
-    nothing is printed, mirroring :func:`_report_cache`'s silence on
-    uncached commands.  Fallback rows are broken down by reason so a
+    ``stats`` is ``None`` when no cube cell ran through the vector
+    engine — then nothing is printed, mirroring :func:`_report_cache`'s
+    silence on uncached commands.  Fallback rows are broken down by reason so a
     grid that silently degraded to per-run simulation is visible.
     """
     if stats is None:
@@ -431,7 +432,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         spec = SurfaceSpec.for_config(
             args.window, config, **_surface_spec_kwargs(args)
         )
-        surface = builder.build(spec)
+        (surface,) = builder.build_family([spec])
         print(
             f"built surface {surface.key[:12]} "
             f"(window={args.window} slack={slack:.0%} t_c={args.tc:.0f}s, "

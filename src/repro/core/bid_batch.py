@@ -16,11 +16,11 @@ per zone: the window's prices are sorted once and each bid's pattern
 is reduced to its ``searchsorted`` count of samples at or below the
 bid.  For bids sorted ascending, equal counts mean no sample lies
 between the two bids, which is exactly pattern equality — so the
-classes are contiguous runs of equal count signatures.  The batched
-executor (:meth:`~repro.experiments.runner.ExperimentRunner.run_bid_axis`)
-runs one representative per class and clones its results for the
-other members, sharing the price scan, crossing indices and
-checkpoint-schedule computation across the whole bid axis.
+classes are contiguous runs of equal count signatures.  The runner's
+cube cells (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`)
+turn them into the vector engine's clone plan: one representative row
+per (class, shape, start) simulates and the other members are cloned
+with only the bid rewritten.
 """
 
 from __future__ import annotations

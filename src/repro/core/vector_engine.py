@@ -53,7 +53,7 @@ Markov-Daly's re-arm clock, Periodic's per-(zone, hour) latch and
 Large-bid's released-hour latch plus deferred manual termination ride
 along as decision-state columns; Threshold's price and execution-time
 guards evaluate per run against the oracle's memoized statistics.
-Adaptive-controller runs (:meth:`VectorSimulator.run_adaptive_batch`)
+Adaptive-controller runs (:meth:`VectorSimulator.run_adaptive_cube`)
 ride the same lockstep simulator: the installed policy kind is a
 per-row column in every batch, and under a controller the rest of the
 plan (bid, active-zone mask, re-plan clock) is too, with zone blocks
@@ -76,7 +76,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.app.workload import ExperimentConfig
 from repro.core.engine import EngineError, Event, RunResult, SpotSimulator
 from repro.market.constants import ON_DEMAND_PRICE, SAMPLE_INTERVAL_S
 from repro.market.queuing import QueueDelayModel
@@ -240,55 +239,6 @@ class VectorSimulator:
 
     # ------------------------------------------------------------------
 
-    def run_batch(
-        self,
-        config: ExperimentConfig,
-        policy_factory,
-        bid: float,
-        zones: tuple[str, ...],
-        starts,
-        rngs,
-    ) -> list[RunResult]:
-        """Simulate one run per (start, rng) pair; results in order.
-
-        Equivalent to ``SpotSimulator(engine_mode="fast").run(config,
-        policy_factory(), bid, zones, start)`` once per start with the
-        matching generator — bit-identical results, shared cache
-        entries, identical RNG streams afterwards.
-        """
-        return self.run_grid(
-            config, policy_factory, zones,
-            [bid] * len(starts), starts, rngs,
-        )
-
-    def run_grid(
-        self,
-        config: ExperimentConfig,
-        policy_factory,
-        zones: tuple[str, ...],
-        bids,
-        starts,
-        rngs,
-        clone_of=None,
-    ) -> list[RunResult]:
-        """Simulate one run per (bid, start, rng) row; results in order.
-
-        ``clone_of`` optionally maps row ``i`` to a representative row
-        whose trajectory is bid-for-bid identical (same availability
-        signature, from :func:`repro.core.bid_batch.bid_equivalence_classes`);
-        for bid-invariant policies those rows are served by cloning the
-        representative's result with only the bid rewritten — exactly
-        what the scalar batched bid-axis path does — consuming no RNG
-        draws and writing no cache entries.  Rows outside the native
-        scope (no recognized ``vector_kind``) fall back to per-run
-        scalar fast simulation under :data:`FALLBACK_POLICY`.
-        """
-        return self.run_cube(
-            [config], policy_factory, zones,
-            [0] * len(starts), bids, starts, rngs,
-            clone_of=clone_of,
-        )
-
     def run_cube(
         self,
         configs,
@@ -306,14 +256,22 @@ class VectorSimulator:
         checkpoint configuration at several deadlines) and
         ``shape_idx[i]`` names row ``i``'s shape.  Every row is
         bit-identical — RunResult, event log, RNG draw sequence, cache
-        address — to a scalar fast run at its own shape: shape rows
-        share the lockstep round loop and the per-(zone, bid) crossing
-        arrays, never each other's arithmetic.  ``clone_of`` rows are
-        honored only within a shape (a clone must share its
-        representative's deadline as well as its availability
-        signature); a ``clone_of`` list of the wrong length or naming a
-        row outside the batch raises :class:`EngineError`.  Rows
-        outside the native scope fall back to per-run scalar fast
+        address — to ``SpotSimulator(engine_mode="fast").run(
+        configs[shape_idx[i]], policy_factory(), bids[i], zones,
+        starts[i])`` with generator ``rngs[i]``: shape rows share the
+        lockstep round loop and the per-(zone, bid) crossing arrays,
+        never each other's arithmetic.
+
+        ``clone_of`` optionally maps row ``i`` to a representative row
+        with the same availability signature (from
+        :func:`repro.core.bid_batch.bid_equivalence_classes`); for
+        bid-invariant policies such a row is served by cloning the
+        representative's result with only the bid rewritten, consuming
+        no RNG draws and writing no cache entries.  Clones are honored
+        only within a shape (a clone must share its representative's
+        deadline as well); a ``clone_of`` list of the wrong length or
+        naming a row outside the batch raises :class:`EngineError`.
+        Rows outside the native scope fall back to per-run scalar fast
         simulation under :data:`FALLBACK_POLICY` at their own shape.
         """
         zones = tuple(zones)
@@ -378,31 +336,6 @@ class VectorSimulator:
         self.stats.cloned += len(plan)
         return results
 
-    def run_adaptive_batch(
-        self,
-        config: ExperimentConfig,
-        controller_factory,
-        starts,
-        rngs,
-    ) -> list[RunResult]:
-        """Simulate one controller-driven run per (start, rng) pair.
-
-        Equivalent to ``SpotSimulator(engine_mode="fast").run(config,
-        PeriodicPolicy(), ctrl.bids[0], oracle.zone_names[:1], start,
-        controller=ctrl)`` once per start with a fresh controller from
-        ``controller_factory`` — the bootstrap configuration the
-        experiment runner uses for Adaptive cells — bit-identical
-        results, shared cache entries, identical RNG streams afterwards.
-        The native path batches :class:`~repro.core.adaptive.\
-AdaptiveController` exactly (a subclass may override decision rules the
-        columns hard-code, so it must match the class itself); any other
-        controller falls back to per-run scalar fast simulation under
-        :data:`FALLBACK_CONTROLLER`.
-        """
-        return self.run_adaptive_cube(
-            [config], controller_factory, [0] * len(starts), starts, rngs
-        )
-
     def run_adaptive_cube(
         self,
         configs,
@@ -413,10 +346,18 @@ AdaptiveController` exactly (a subclass may override decision rules the
     ) -> list[RunResult]:
         """Simulate one controller-driven run per (shape, start, rng) row.
 
-        The shape axis works exactly as in :meth:`run_cube`: row ``i``
-        runs at ``configs[shape_idx[i]]``, bit-identical to a scalar
-        fast controller run at that shape, while the deadline ladder
-        shares the round loop, the crossing caches and — through the
+        Row ``i`` is bit-identical to ``SpotSimulator(
+        engine_mode="fast").run(configs[shape_idx[i]], PeriodicPolicy(),
+        ctrl.bids[0], oracle.zone_names[:1], starts[i],
+        controller=ctrl)`` with a fresh ``ctrl = controller_factory()``
+        and generator ``rngs[i]`` — the bootstrap configuration the
+        experiment runner uses for Adaptive cells.  The native path
+        batches :class:`~repro.core.adaptive.AdaptiveController`
+        exactly (a subclass may override decision rules the columns
+        hard-code); any other controller falls back to per-run scalar
+        fast simulation under :data:`FALLBACK_CONTROLLER`.
+
+        As in :meth:`run_cube`, the deadline ladder shares the round loop, the crossing caches and — through the
         shared :class:`~repro.core.adaptive.SelectionMemo`, whose keys
         carry the job shape — the dense candidate selections.
         """

@@ -156,16 +156,14 @@ def fig4_quadrant(
     Single-zone policies merge all three zones into one box per bid
     (the paper's protocol); the redundancy box is the per-experiment
     best case over the four redundancy-based policies.  Each policy's
-    whole bid axis runs as one cell — under ``engine_mode="vector"``
-    one fused (bid x start) lockstep tile — with per-bid records
-    identical to ``run_single_zone`` called once per bid.  Audited
-    runners take the per-bid per-run path so the auditor observes
-    every run.
+    whole bid axis runs as one cube cell — one fused (bid x start)
+    lockstep tile — with per-bid records identical to
+    ``run_single_zone`` called once per bid.  Audited runners take the
+    per-bid per-run path so the auditor observes every run.
     """
     config = paper_experiment(slack_fraction=slack_fraction, ckpt_cost_s=ckpt_cost_s)
     per_policy = {
-        label: runner.run_bid_axis(label, config, bids,
-                                   batched=not runner.audit)
+        label: runner.run_cube(label, [config], bids)[0]
         for label in policies
     }
     cells: list[PolicyCell] = []
@@ -217,11 +215,10 @@ def optimal_policy_table(
                               engine_mode=engine_mode,
                               cache_dir=cache_dir) as runner:
             config = paper_experiment(slack_fraction=slack, ckpt_cost_s=ckpt_cost_s)
-            # one bid-axis cell per candidate policy (a fused lockstep
-            # tile under --engine vector); per-bid records match
-            # run_single_zone exactly
+            # one fused (bid x start) cube cell per candidate policy;
+            # per-bid records match run_single_zone exactly
             single = {
-                label: runner.run_bid_axis(label, config, bids)
+                label: runner.run_cube(label, [config], bids)[0]
                 for label in RETAINED_POLICIES
             }
             candidates: dict[str, BoxplotStats] = {}
@@ -368,7 +365,7 @@ def headline_claims(
                 best_ratio = max(best_ratio, od / adaptive.median)
                 worst_ratio = max(worst_ratio, adaptive.maximum / od)
                 per_label = {
-                    label: runner.run_bid_axis(label, config, FIGURE_BIDS)
+                    label: runner.run_cube(label, [config], FIGURE_BIDS)[0]
                     for label in RETAINED_POLICIES
                 }
                 singles = [

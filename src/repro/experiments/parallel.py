@@ -1,4 +1,4 @@
-"""Parallel sweep executor — per-start grid cells over a process pool.
+"""Parallel sweep executor — grid cells over a process pool.
 
 The evaluation protocol (Section 5) runs 80 overlapping experiments
 per grid cell across policies x bids x zones x slack x checkpoint
@@ -6,7 +6,10 @@ costs — tens of thousands of tick-by-tick simulations that are
 embarrassingly parallel across start offsets: per-start seeding is
 derived from the start offset alone
 (:meth:`~repro.experiments.runner.ExperimentRunner.simulator`), so no
-work unit observes another's randomness.
+work unit observes another's randomness.  There are two fan-outs:
+:meth:`SweepExecutor.map_cells` ships per-run ``(task, start)`` units,
+and :meth:`SweepExecutor.map_cube` ships contiguous start-chunks of a
+vectorised (shape x bid x start) cube.
 
 Design:
 
@@ -302,35 +305,6 @@ def _run_cell(task: CellTask, start: float) -> tuple:
     return (records, *_worker_extras())
 
 
-def _run_bid_axis_cell(task: CellTask, bids: tuple, start: float) -> tuple:
-    """Worker entry point for one start of a batched bid axis."""
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    pairs = _WORKER_RUNNER.run_bid_axis_cell(task, bids, start)
-    return (pairs, *_worker_extras())
-
-
-def _run_start_axis_chunk(task: CellTask, starts: tuple) -> tuple:
-    """Worker entry point for one contiguous chunk of a batched start
-    axis: the whole chunk goes through the vector engine in one batch
-    (:meth:`~repro.experiments.runner.ExperimentRunner.run_start_axis_cells`),
-    so the per-run Python loop disappears inside the workers too."""
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    records = _WORKER_RUNNER.run_start_axis_cells(task, list(starts))
-    return (records, *_worker_extras())
-
-
-def _run_grid_chunk(task: CellTask, bids: tuple, starts: tuple) -> tuple:
-    """Worker entry point for one start-chunk of a fused (bid x start)
-    tile: the chunk's whole bid axis advances in one lockstep pass
-    (:meth:`~repro.experiments.runner.ExperimentRunner.run_grid_cell`)."""
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    pairs = _WORKER_RUNNER.run_grid_cell(task, list(bids), list(starts))
-    return (pairs, *_worker_extras())
-
-
 def _run_cube_chunk(
     task: CellTask, configs: tuple, bids: tuple, starts_per_shape: tuple
 ) -> tuple:
@@ -452,65 +426,6 @@ class SweepExecutor:
             self._absorb_extras(*extras)
         return records
 
-    def map_bid_axis(
-        self, task: CellTask, bids: Sequence[float], starts: Sequence[float]
-    ) -> dict[float, list[RunRecord]]:
-        """Run a batched bid axis at every start; records in start order.
-
-        Each worker partitions the bid grid into equivalence classes
-        for its start and runs one representative per class
-        (:meth:`~repro.experiments.runner.ExperimentRunner.run_bid_axis_cell`);
-        the ordered merge makes every per-bid record list identical —
-        values and order — to the serial batched path, which is itself
-        identical to per-bid runs.
-        """
-        pool = self._ensure_pool()
-        bids = tuple(float(b) for b in bids)
-        futures = [
-            pool.submit(_run_bid_axis_cell, task, bids, float(s))
-            for s in starts
-        ]
-        out: dict[float, list[RunRecord]] = {bid: [] for bid in bids}
-        for future in futures:
-            pairs, *extras = future.result()
-            for bid, records in pairs:
-                out[bid].extend(records)
-            self._absorb_extras(*extras)
-        return out
-
-    def map_grid(
-        self, task: CellTask, bids: Sequence[float], starts: Sequence[float]
-    ) -> dict[float, list[RunRecord]]:
-        """Run a fused (bid x start) tile over the pool.
-
-        The start grid splits into one contiguous chunk per worker
-        (start order preserved); each chunk advances the whole bid axis
-        in one lockstep pass
-        (:meth:`~repro.experiments.runner.ExperimentRunner.run_grid_cell`).
-        The ordered merge reproduces the serial fused tile — and
-        therefore per-bid scalar runs — record for record.
-        """
-        pool = self._ensure_pool()
-        bids = tuple(float(b) for b in bids)
-        chunks = [
-            tuple(float(s) for s in chunk)
-            for chunk in np.array_split(
-                np.asarray([float(s) for s in starts]), self.workers
-            )
-            if len(chunk)
-        ]
-        futures = [
-            pool.submit(_run_grid_chunk, task, bids, chunk)
-            for chunk in chunks
-        ]
-        out: dict[float, list[RunRecord]] = {bid: [] for bid in bids}
-        for future in futures:
-            pairs, *extras = future.result()
-            for bid, records in pairs:
-                out[bid].extend(records)
-            self._absorb_extras(*extras)
-        return out
-
     def map_cube(
         self,
         task: CellTask,
@@ -518,7 +433,8 @@ class SweepExecutor:
         bids: Sequence[float],
         starts_per_shape: Sequence[Sequence[float]],
     ) -> list[dict[float, list[RunRecord]]]:
-        """Run a fused (shape x bid x start) cube over the pool.
+        """Run a fused (shape x bid x start) cube over the pool — every
+        vectorised cell, a single-bid start axis included.
 
         Every shape's start grid splits into one contiguous chunk per
         worker (start order preserved); chunk w carries shape k's w-th
@@ -531,7 +447,7 @@ class SweepExecutor:
         """
         pool = self._ensure_pool()
         configs = tuple(configs)
-        bids = tuple(float(b) for b in bids)
+        bids = tuple(bids)
         split_per_shape = [
             np.array_split(
                 np.asarray([float(s) for s in starts]), self.workers
@@ -560,35 +476,6 @@ class SweepExecutor:
                     out[k][bid].extend(records)
             self._absorb_extras(*extras)
         return out
-
-    def map_start_axis(
-        self, task: CellTask, starts: Sequence[float]
-    ) -> list[RunRecord]:
-        """Run one single-zone cell's batched start axis over the pool.
-
-        The start grid splits into one contiguous chunk per worker
-        (start order preserved), each chunk runs as one vector-engine
-        batch, and the ordered merge reproduces the serial path's
-        records — values and order — exactly: per-start seeding means
-        chunk boundaries cannot change any run.
-        """
-        pool = self._ensure_pool()
-        starts = [float(s) for s in starts]
-        chunks = [
-            tuple(float(s) for s in chunk)
-            for chunk in np.array_split(np.asarray(starts), self.workers)
-            if len(chunk)
-        ]
-        futures = [
-            pool.submit(_run_start_axis_chunk, task, chunk)
-            for chunk in chunks
-        ]
-        records: list[RunRecord] = []
-        for future in futures:
-            chunk_records, *extras = future.result()
-            records.extend(chunk_records)
-            self._absorb_extras(*extras)
-        return records
 
     def drain_audit(self) -> AuditReport:
         """Hand off (and clear) the audit reports workers shipped back."""

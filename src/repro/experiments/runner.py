@@ -12,17 +12,23 @@ exposes the run shapes the figures need:
 * Adaptive (controller-driven) sweeps;
 * Large-bid sweeps over the control threshold L.
 
-Every grid cell decomposes into independent per-start units of work —
-a :class:`CellTask` plus one start offset — which is both the serial
-execution order and the unit the parallel sweep executor
-(:mod:`repro.experiments.parallel`) fans out over worker processes.
-Per-start seeding is derived from the start offset alone, so the two
-paths produce identical records.
+Every grid cell is a (shape x bid x start) cube with some axes of
+length 1.  Vectorised cells go through one cube-chunk body
+(:meth:`ExperimentRunner.run_cube_cell`), serially or as contiguous
+start-chunks over worker processes
+(:meth:`~repro.experiments.parallel.SweepExecutor.map_cube`).  Cells
+that must run one simulation at a time — audited runners, the
+reference tick engine, ``engine_mode="fast"`` single-bid cells —
+decompose into independent per-start units of work, a
+:class:`CellTask` plus one start offset (:meth:`run_cell`, fanned out
+by ``map_cells``).  Per-start seeding is derived from the start offset
+alone, so every path produces identical records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,18 +66,6 @@ POLICY_FACTORIES: dict[str, Callable[[], CheckpointPolicy]] = {
 #: Policies the paper keeps after Section 6 (Edge and Threshold are
 #: dropped for high recovery costs).
 RETAINED_POLICIES: tuple[str, ...] = ("periodic", "markov-daly")
-
-
-def _rebid(record: RunRecord, bid: float) -> RunRecord:
-    """``record`` as an independent run at ``bid`` would report it.
-
-    Valid only for a bid in the same availability-equivalence class as
-    the record's (under a bid-invariant policy): the trajectory — and
-    hence every other field, the event log included — is bit-identical
-    by construction, so only the recorded bid differs.  Event details
-    embed prices, never the bid, which is what keeps the log clone-safe.
-    """
-    return replace(record, bid=bid, result=replace(record.result, bid=bid))
 
 
 @dataclass(frozen=True)
@@ -116,11 +110,13 @@ class ExperimentRunner:
     engine_mode:
         ``"fast"`` (default) uses the engine's segment-skipping
         scheduler; ``"tick"`` forces the reference tick-by-tick loop
-        (for debugging); ``"vector"`` batches each single-zone cell's
-        whole start axis through the struct-of-arrays engine
-        (:mod:`repro.core.vector_engine`), falling back to per-run
-        fast simulation for everything the vector path can't express.
-        Results are bit-identical across all three.
+        everywhere, :meth:`run_cube` included; ``"vector"`` also
+        batches the single-bid cells (:meth:`run_single_zone` and
+        friends) through the struct-of-arrays engine
+        (:mod:`repro.core.vector_engine`), which falls back to per-run
+        fast simulation for everything it can't express.
+        :meth:`run_cube` is vectorised under ``"fast"`` too.  Results
+        are bit-identical across all three.
     audit:
         Attach a :class:`~repro.audit.auditor.RunAuditor` to every
         simulator: invariants are checked on each run and violations
@@ -136,6 +132,8 @@ class ExperimentRunner:
         arena pass the mapped (zero-copy) trace instead so each process
         skips regenerating the archive.  The arrays must equal the
         generated window's — results are bit-identical either way.
+        An explicit trace requires ``workers=1``: pool workers rebuild
+        the window from ``window``/``seed``, not from this trace.
     cache_dir, cache:
         Cross-run memoization (:mod:`repro.experiments.cache`).
         ``cache_dir`` adds a persistent on-disk layer so warm figure
@@ -165,10 +163,16 @@ class ExperimentRunner:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.audit_out is not None:
             self.audit = True
+        self._explicit_trace = self.trace is not None
         if self.trace is None:
             self.trace, self.eval_start = evaluation_window(self.window, self.seed)
         elif self.eval_start is None:
             raise ValueError("eval_start is required with an explicit trace")
+        elif self.workers > 1:
+            raise ValueError(
+                "an explicit trace requires workers=1: pool workers "
+                "regenerate the window from window/seed"
+            )
         if self.cache is None and self.cache_dir is not None:
             self.cache = RunCache(self.cache_dir)
         self.oracle = PriceOracle(self.trace)
@@ -255,10 +259,13 @@ class ExperimentRunner:
     # -- parallel execution ------------------------------------------------
 
     def with_workers(self, workers: int) -> "ExperimentRunner":
-        """A runner over the same window/seed with a different degree of
-        parallelism (the window trace is cached, so this is cheap)."""
+        """A runner over the same window, seed, trace and run cache with
+        a different degree of parallelism (the window trace is cached,
+        so this is cheap).  An explicit trace with ``workers > 1``
+        raises ``ValueError``, as the constructor does."""
         if workers == self.workers:
             return self
+        explicit = self._explicit_trace
         return ExperimentRunner(
             self.window,
             num_experiments=self.num_experiments,
@@ -268,7 +275,10 @@ class ExperimentRunner:
             engine_mode=self.engine_mode,
             audit=self.audit,
             audit_out=self.audit_out,
+            trace=self.trace if explicit else None,
+            eval_start=self.eval_start if explicit else None,
             cache_dir=self.cache_dir,
+            cache=self.cache,
         )
 
     @property
@@ -428,422 +438,180 @@ class ExperimentRunner:
             return records
         raise ValueError(f"unknown cell task kind {task.kind!r}")
 
-    def run_start_axis_cells(
-        self, task: CellTask, starts: Sequence[float]
-    ) -> list[RunRecord]:
-        """Batch one cell's ``starts`` through the struct-of-arrays
-        engine; the parallel chunk entry point.
-
-        One RNG per start (the same :meth:`_start_rng` stream the
-        per-run path uses) shared across the cell's zone waves, so a
-        merged three-zone cell draws queue delays in exactly the order
-        the serial ``run_cell`` loop would.  Single-zone and Large-bid
-        records come back start-major, zone-minor — the serial order;
-        redundant cells run all their zones as one multi-zone batch;
-        Adaptive cells batch the whole axis through
-        :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_batch`.
-        """
-        if task.kind not in ("single-zone", "redundant", "adaptive",
-                             "large-bid"):
-            raise ValueError(
-                f"start-axis batching is undefined for cell kind {task.kind!r}"
-            )
-        config = task.config
-        starts = [float(s) for s in starts]
-        rngs = [self._start_rng(s) for s in starts]
-        vec = self.vector
-        if task.kind == "adaptive":
-            controller_factory = task.controller_factory or AdaptiveController
-            results = vec.run_adaptive_batch(
-                config, controller_factory, starts, rngs
-            )
-            return [
-                self._record("adaptive", config, results[i].bid, start,
-                             results[i])
-                for i, start in enumerate(starts)
-            ]
-        if task.kind == "large-bid":
-            if task.threshold is None:
-                policy_factory = naive_policy
-            else:
-                policy_factory = lambda: LargeBidPolicy(task.threshold)  # noqa: E731
-            label = policy_factory().name
-            per_zone = [
-                vec.run_batch(config, policy_factory, LARGE_BID, (zone,),
-                              starts, rngs)
-                for zone in task.zones
-            ]
-            records = []
-            for i, start in enumerate(starts):
-                for results in per_zone:
-                    records.append(
-                        self._record(label, config, LARGE_BID, start,
-                                     results[i])
-                    )
-            return records
-        factory = POLICY_FACTORIES[task.policy_label]
-        if task.kind == "single-zone":
-            per_zone = [
-                vec.run_batch(config, factory, task.bid, (zone,), starts, rngs)
-                for zone in task.zones
-            ]
-            records = []
-            for i, start in enumerate(starts):
-                for results in per_zone:
-                    records.append(
-                        self._record(task.policy_label, config, task.bid,
-                                     start, results[i])
-                    )
-            return records
-        zones = tuple(self.trace.zone_names[: task.num_zones])
-        label = f"{task.policy_label}-r{task.num_zones}"
-        results = vec.run_batch(config, factory, task.bid, zones,
-                                starts, rngs)
-        return [
-            self._record(label, config, task.bid, start, results[i])
-            for i, start in enumerate(starts)
-        ]
-
-    def run_start_axis(
-        self,
-        policy_label: str,
-        config: ExperimentConfig,
-        bid: float,
-        zones: Sequence[str] | None = None,
-    ) -> list[RunRecord]:
-        """One single-zone cell over the full start grid, batched.
-
-        Same records — values and order — as :meth:`run_single_zone`;
-        the start axis is served by the struct-of-arrays engine (with
-        per-run scalar fallback where the vector path doesn't apply)
-        regardless of ``engine_mode``.  Audited runners fall back to
-        per-run simulation so the auditor observes every run.
-        """
-        zones = tuple(zones) if zones is not None else self.trace.zone_names
-        task = CellTask(kind="single-zone", config=config,
-                        policy_label=policy_label, bid=bid, zones=zones)
-        if self.audit:
-            return self._run_grid(task)
-        starts = [float(s) for s in self.starts(config)]
-        if self.workers > 1 and len(starts) > 1:
-            return self.executor.map_start_axis(task, starts)
-        return self.run_start_axis_cells(task, starts)
-
-    def _run_grid(self, task: CellTask) -> list[RunRecord]:
-        """All starts of one cell — serial, or fanned out over workers.
-
-        The parallel path merges worker results in start order, so the
-        returned records are identical (values and order) to a serial
-        run.  Under ``engine_mode="vector"`` single-zone, redundant,
-        Adaptive and Large-bid cells route through the start-axis batch
-        engine instead of the per-start loop (audited runners excepted
-        — the vector path has no audit hooks, so those runs stay
-        per-run on the fast engine).
-        """
-        starts = [float(s) for s in self.starts(task.config)]
-        if (
-            self.engine_mode == "vector"
-            and task.kind in ("single-zone", "redundant", "adaptive",
-                              "large-bid")
-            and not self.audit
-        ):
-            if self.workers > 1 and len(starts) > 1:
-                return self.executor.map_start_axis(task, starts)
-            return self.run_start_axis_cells(task, starts)
-        if self.workers > 1 and len(starts) > 1:
-            return self.executor.map_cells(task, starts)
-        records = []
-        for start in starts:
-            records.extend(self.run_cell(task, start))
-        self.flush_cache()
-        return records
-
-    # -- batched bid axis --------------------------------------------------
-
-    def run_bid_axis_cell(
-        self, task: CellTask, bids: Sequence[float], start: float
-    ) -> list[tuple[float, list[RunRecord]]]:
-        """One start's worth of a batched bid axis; worker entry point.
-
-        Partitions ``bids`` into availability-equivalence classes over
-        this start's run horizon (:mod:`repro.core.bid_batch`), runs
-        one representative per class and clones its records — bid
-        field rewritten — for the other members.  Under a
-        bid-invariant policy the clones are bit-identical to what
-        independent runs at those bids would produce (trajectory,
-        costs, event log, queue-delay draws — the differential tests
-        in ``tests/experiments/test_bid_axis.py`` prove it), so one
-        pass over the trace serves the whole axis.  Returns ``(bid,
-        records)`` pairs in ascending-bid order.
-        """
-        if task.kind == "single-zone":
-            cell_zones = task.zones
-        elif task.kind == "redundant":
-            cell_zones = self.trace.zone_names[: task.num_zones]
-        else:
-            raise ValueError(
-                f"bid axis is undefined for cell kind {task.kind!r}"
-            )
-        classes = bid_equivalence_classes(
-            self.trace, cell_zones, bids, start, task.config.deadline_s
-        )
-        pairs: list[tuple[float, list[RunRecord]]] = []
-        for cls in classes:
-            rep_records = self.run_cell(
-                replace(task, bid=cls.representative), start
-            )
-            for bid in cls.members:
-                if bid == cls.representative:
-                    pairs.append((bid, rep_records))
-                else:
-                    pairs.append(
-                        (bid, [_rebid(r, bid) for r in rep_records])
-                    )
-        return pairs
-
-    def run_bid_axis(
-        self,
-        policy_label: str,
-        config: ExperimentConfig,
-        bids: Sequence[float],
-        zones: Sequence[str] | None = None,
-        redundant: bool = False,
-        num_zones: int = 3,
-        batched: bool = True,
-    ) -> dict[float, list[RunRecord]]:
-        """All bid levels of one sweep cell, sharing work across bids.
-
-        For bid-invariant policies the batched engine runs one
-        representative per equivalence class and clones the rest (see
-        :meth:`run_bid_axis_cell`); the per-bid record lists — values
-        *and* order — are identical to ``run_single_zone`` /
-        ``run_redundant`` called once per bid.  Policies whose
-        decisions consume the bid numerically (Markov-Daly's MTBF,
-        Threshold's price target) fall back to exactly those per-bid
-        runs automatically, as does ``batched=False`` (the benchmark
-        baseline).  Returns ``{bid: records}`` over the unique bids.
-        """
-        bids = [float(b) for b in dict.fromkeys(float(b) for b in bids)]
-        if batched and self.engine_mode == "vector" and not self.audit:
-            # one fused (bid x start) lockstep tile per cell; identical
-            # records, bid-equivalence clones included
-            return self.run_grid(policy_label, config, bids, zones=zones,
-                                 redundant=redundant, num_zones=num_zones)
-        if redundant:
-            task = CellTask(kind="redundant", config=config,
-                            policy_label=policy_label, num_zones=num_zones)
-        else:
-            cell_zones = tuple(zones) if zones is not None else self.trace.zone_names
-            task = CellTask(kind="single-zone", config=config,
-                            policy_label=policy_label, zones=cell_zones)
-        if not (batched and POLICY_FACTORIES[policy_label]().bid_invariant):
-            return {
-                bid: self._run_grid(replace(task, bid=bid)) for bid in bids
-            }
-        starts = [float(s) for s in self.starts(config)]
-        if self.workers > 1 and len(starts) > 1:
-            return self.executor.map_bid_axis(task, bids, starts)
-        out: dict[float, list[RunRecord]] = {bid: [] for bid in bids}
-        for start in starts:
-            for bid, records in self.run_bid_axis_cell(task, bids, start):
-                out[bid].extend(records)
-        self.flush_cache()
-        return out
-
-    # -- fused (bid x start) grid ------------------------------------------
-
-    def run_grid_cell(
-        self, task: CellTask, bids: Sequence[float], starts: Sequence[float]
-    ) -> list[tuple[float, list[RunRecord]]]:
-        """One contiguous start-chunk of a fused (bid x start) tile;
-        the parallel grid-chunk entry point.
-
-        The whole tile advances through the vector engine in lockstep:
-        rows are laid out start-major over the bid grid, each row gets
-        the fresh per-start RNG a per-(bid, start) ``run_cell`` would
-        build, and — for bid-invariant policies — the availability
-        equivalence classes of :mod:`repro.core.bid_batch` collapse to
-        one simulated representative per (class, start) with the other
-        rows cloned inside the engine, exactly as
-        :meth:`run_bid_axis_cell` clones records.  Returns ``(bid,
-        records)`` pairs over the given bids; per bid the records are
-        start-major (and zone-minor for merged single-zone cells) —
-        bit-identical, values and order, to per-bid scalar runs.
-        """
-        if task.kind == "single-zone":
-            cell_zones = task.zones
-            waves = [(task.policy_label, (zone,)) for zone in task.zones]
-        elif task.kind == "redundant":
-            cell_zones = tuple(self.trace.zone_names[: task.num_zones])
-            waves = [(f"{task.policy_label}-r{task.num_zones}", cell_zones)]
-        else:
-            raise ValueError(
-                f"grid batching is undefined for cell kind {task.kind!r}"
-            )
-        factory = POLICY_FACTORIES[task.policy_label]
-        config = task.config
-        bids = [float(b) for b in bids]
-        starts = [float(s) for s in starts]
-        nb = len(bids)
-        bcol = {bid: j for j, bid in enumerate(bids)}
-        row_bids = [bid for _ in starts for bid in bids]
-        row_starts = [start for start in starts for _ in bids]
-        rngs = [self._start_rng(start) for start in row_starts]
-        clone_of = None
-        if nb > 1 and factory().bid_invariant:
-            clone_of = [None] * (nb * len(starts))
-            for si, start in enumerate(starts):
-                classes = bid_equivalence_classes(
-                    self.trace, cell_zones, bids, start, config.deadline_s
-                )
-                for cls in classes:
-                    rep_row = si * nb + bcol[cls.representative]
-                    for bid in cls.members:
-                        if bid != cls.representative:
-                            clone_of[si * nb + bcol[bid]] = rep_row
-        vec = self.vector
-        per_wave = [
-            vec.run_grid(config, factory, wave_zones, row_bids, row_starts,
-                         rngs, clone_of=clone_of)
-            for _, wave_zones in waves
-        ]
-        pairs: list[tuple[float, list[RunRecord]]] = []
-        for bj, bid in enumerate(bids):
-            records = []
-            for si, start in enumerate(starts):
-                for (label, _), results in zip(waves, per_wave):
-                    records.append(
-                        self._record(label, config, bid, start,
-                                     results[si * nb + bj])
-                    )
-            pairs.append((bid, records))
-        return pairs
-
-    def run_grid(
-        self,
-        policy_label: str,
-        config: ExperimentConfig,
-        bids: Sequence[float],
-        zones: Sequence[str] | None = None,
-        redundant: bool = False,
-        num_zones: int = 3,
-    ) -> dict[float, list[RunRecord]]:
-        """One (policy, zone-set) cell over the full (bid x start) grid,
-        fused through the vector engine.
-
-        Same per-bid record lists — values *and* order — as
-        :meth:`run_single_zone` / :meth:`run_redundant` called once per
-        bid, regardless of ``engine_mode``; the whole grid advances in
-        lockstep instead (with per-run scalar fallback inside the
-        engine wherever the native path doesn't apply).  Audited
-        runners fall back to per-run simulation so the auditor
-        observes every run.  Returns ``{bid: records}`` over the
-        unique bids.
-        """
-        bids = [float(b) for b in dict.fromkeys(float(b) for b in bids)]
-        if redundant:
-            task = CellTask(kind="redundant", config=config,
-                            policy_label=policy_label, num_zones=num_zones)
-        else:
-            cell_zones = tuple(zones) if zones is not None else self.trace.zone_names
-            task = CellTask(kind="single-zone", config=config,
-                            policy_label=policy_label, zones=cell_zones)
-        if self.audit:
-            return {
-                bid: self._run_grid(replace(task, bid=bid)) for bid in bids
-            }
-        starts = [float(s) for s in self.starts(config)]
-        if self.workers > 1 and len(starts) > 1:
-            return self.executor.map_grid(task, bids, starts)
-        out: dict[float, list[RunRecord]] = {bid: [] for bid in bids}
-        for bid, records in self.run_grid_cell(task, bids, starts):
-            out[bid].extend(records)
-        return out
-
-    # -- fused (shape x bid x start) cube ----------------------------------
-
-    def run_cube_cell(
+    def _cube_cell(
         self,
         task: CellTask,
         configs: Sequence[ExperimentConfig],
-        bids: Sequence[float],
+        bids: Sequence,
         starts_per_shape: Sequence[Sequence[float]],
     ) -> list[list[tuple[float, list[RunRecord]]]]:
-        """One contiguous start-chunk of a fused (shape x bid x start)
-        cube; the parallel cube-chunk entry point.
+        """One contiguous start-chunk of a (shape x bid x start) cube,
+        advanced through the vector engine in one lockstep pass.
 
-        Each job shape brings its own start list (the overlapping-start
-        grid depends on the deadline), laid out shape-major over the
-        per-shape (bid x start) tiles of :meth:`run_grid_cell`; the
-        whole cube advances through the vector engine in one lockstep
-        pass, with bid-equivalence clones resolved per (shape, start)
-        so clones never cross shapes.  Returns, per shape, the same
-        ``(bid, records)`` pairs ``run_grid_cell`` would produce for
-        that shape alone — bit-identical, values and order.
+        Rows are laid out shape-major, then start, then bid; each row
+        gets the fresh per-start RNG a per-(bid, start) :meth:`run_cell`
+        would build, and one RNG serves every zone wave of a merged
+        single-zone or Large-bid cell, in the serial draw order.  For
+        bid-invariant policies the availability-equivalence classes of
+        :mod:`repro.core.bid_batch` are resolved per (shape, start):
+        one representative row simulates per class and the engine
+        clones the rest, so clones never cross shapes.  Large-bid cells
+        run at ``LARGE_BID`` and Adaptive cells go through
+        :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_cube`;
+        both take a bid axis of length 1, and every record keeps its
+        run's own ``result.bid``.
+
+        Returns, per shape, ``(bid, records)`` pairs over ``bids``; per
+        bid the records are start-major (zone-minor for merged cells) —
+        bit-identical, values and order, to per-start ``run_cell``
+        loops.
         """
-        if task.kind == "single-zone":
-            cell_zones = task.zones
+        kind = task.kind
+        if kind == "single-zone":
+            factory = POLICY_FACTORIES[task.policy_label]
             waves = [(task.policy_label, (zone,)) for zone in task.zones]
-        elif task.kind == "redundant":
-            cell_zones = tuple(self.trace.zone_names[: task.num_zones])
-            waves = [(f"{task.policy_label}-r{task.num_zones}", cell_zones)]
+        elif kind == "redundant":
+            factory = POLICY_FACTORIES[task.policy_label]
+            waves = [(f"{task.policy_label}-r{task.num_zones}",
+                      tuple(self.trace.zone_names[: task.num_zones]))]
+        elif kind == "large-bid":
+            factory = (naive_policy if task.threshold is None
+                       else partial(LargeBidPolicy, task.threshold))
+            waves = [(factory().name, (zone,)) for zone in task.zones]
+        elif kind == "adaptive":
+            waves = [("adaptive", None)]
         else:
             raise ValueError(
-                f"cube batching is undefined for cell kind {task.kind!r}"
+                f"cube batching is undefined for cell kind {kind!r}"
             )
-        factory = POLICY_FACTORIES[task.policy_label]
         configs = list(configs)
-        bids = [float(b) for b in bids]
+        bids = list(bids)
         nb = len(bids)
-        bcol = {bid: j for j, bid in enumerate(bids)}
+        if kind in ("large-bid", "adaptive") and nb != 1:
+            raise ValueError(f"a {kind} cell takes exactly one bid, got {nb}")
         shape_idx: list[int] = []
         row_bids: list[float] = []
         row_starts: list[float] = []
         row0: list[int] = []  # first row of each shape's tile
         for k, shape_starts in enumerate(starts_per_shape):
-            row0.append(len(row_bids))
+            row0.append(len(row_starts))
             for start in shape_starts:
                 for bid in bids:
                     shape_idx.append(k)
-                    row_bids.append(bid)
+                    row_bids.append(LARGE_BID if kind == "large-bid" else bid)
                     row_starts.append(float(start))
         rngs = [self._start_rng(start) for start in row_starts]
-        clone_of = None
-        if nb > 1 and factory().bid_invariant:
-            clone_of = [None] * len(row_bids)
-            for k, shape_starts in enumerate(starts_per_shape):
-                base = row0[k]
-                for si, start in enumerate(shape_starts):
-                    classes = bid_equivalence_classes(
-                        self.trace, cell_zones, bids, float(start),
-                        configs[k].deadline_s
-                    )
-                    for cls in classes:
-                        rep_row = base + si * nb + bcol[cls.representative]
-                        for bid in cls.members:
-                            if bid != cls.representative:
-                                clone_of[base + si * nb + bcol[bid]] = rep_row
         vec = self.vector
-        per_wave = [
-            vec.run_cube(configs, factory, wave_zones, shape_idx, row_bids,
-                         row_starts, rngs, clone_of=clone_of)
-            for _, wave_zones in waves
-        ]
+        if kind == "adaptive":
+            per_wave = [vec.run_adaptive_cube(
+                configs, task.controller_factory or AdaptiveController,
+                shape_idx, row_starts, rngs,
+            )]
+        else:
+            clone_of = None
+            if nb > 1 and factory().bid_invariant:
+                cell_zones = tuple(z for _, zones in waves for z in zones)
+                bcol = {bid: j for j, bid in enumerate(bids)}
+                clone_of = [None] * len(row_bids)
+                for k, shape_starts in enumerate(starts_per_shape):
+                    for si, start in enumerate(shape_starts):
+                        base = row0[k] + si * nb
+                        for cls in bid_equivalence_classes(
+                            self.trace, cell_zones, bids, float(start),
+                            configs[k].deadline_s,
+                        ):
+                            rep_row = base + bcol[cls.representative]
+                            for bid in cls.members:
+                                if bid != cls.representative:
+                                    clone_of[base + bcol[bid]] = rep_row
+            per_wave = [
+                vec.run_cube(configs, factory, zones, shape_idx, row_bids,
+                             row_starts, rngs, clone_of=clone_of)
+                for _, zones in waves
+            ]
         out: list[list[tuple[float, list[RunRecord]]]] = []
         for k, shape_starts in enumerate(starts_per_shape):
-            base = row0[k]
             pairs: list[tuple[float, list[RunRecord]]] = []
             for bj, bid in enumerate(bids):
                 records = []
                 for si, start in enumerate(shape_starts):
+                    row = row0[k] + si * nb + bj
                     for (label, _), results in zip(waves, per_wave):
-                        records.append(
-                            self._record(label, configs[k], bid, float(start),
-                                         results[base + si * nb + bj])
-                        )
+                        records.append(self._record(
+                            label, configs[k], results[row].bid,
+                            float(start), results[row],
+                        ))
                 pairs.append((bid, records))
             out.append(pairs)
         return out
+
+    # perfbench/tracing.py patches the next three methods by name, one
+    # ``runner.cell`` span each.  None may call another: nested spans
+    # would count the same records twice.
+
+    def run_cube_cell(self, task, configs, bids, starts_per_shape):
+        """:meth:`_cube_cell`; the serial and parallel cube-chunk entry.
+        perfbench patches this name."""
+        return self._cube_cell(task, configs, bids, starts_per_shape)
+
+    def run_grid_cell(self, task, bids, starts):
+        """One shape's (bid x start) chunk: ``(bid, records)`` pairs.
+        perfbench patches this name."""
+        return self._cube_cell(task, [task.config], bids, [starts])[0]
+
+    def run_start_axis_cells(self, task, starts):
+        """One shape at ``task.bid``: the chunk's records, start-major.
+        perfbench patches this name."""
+        return self._cube_cell(task, [task.config], [task.bid], [starts])[0][0][1]
+
+    def _run_cube(
+        self,
+        task: CellTask,
+        configs: list[ExperimentConfig],
+        bids: list,
+        vector: bool,
+    ) -> list[dict[float, list[RunRecord]]]:
+        """Every start of ``task`` at each (shape, bid): one ``{bid:
+        records}`` dict per shape, in ``configs`` order.
+
+        ``vector`` sends the whole cube through :meth:`run_cube_cell`
+        (contiguous start-chunks via
+        :meth:`~repro.experiments.parallel.SweepExecutor.map_cube` under
+        workers > 1); otherwise every (shape, bid) runs start by start
+        through :meth:`run_cell` (or ``map_cells``), which is what an
+        attached auditor needs to observe each run.  Both paths return
+        the same records, values and order.
+        """
+        starts_per_shape = [
+            [float(s) for s in self.starts(config)] for config in configs
+        ]
+        if vector:
+            if self.workers > 1 and max(map(len, starts_per_shape)) > 1:
+                return self.executor.map_cube(task, configs, bids,
+                                              starts_per_shape)
+            cell = self.run_cube_cell(task, configs, bids, starts_per_shape)
+            return [dict(pairs) for pairs in cell]
+        out: list[dict[float, list[RunRecord]]] = []
+        for config, starts in zip(configs, starts_per_shape):
+            per_bid: dict[float, list[RunRecord]] = {}
+            for bid in bids:
+                cell = replace(task, config=config, bid=bid)
+                if self.workers > 1 and len(starts) > 1:
+                    per_bid[bid] = self.executor.map_cells(cell, starts)
+                else:
+                    per_bid[bid] = [
+                        r for start in starts for r in self.run_cell(cell, start)
+                    ]
+            out.append(per_bid)
+        self.flush_cache()
+        return out
+
+    def _run_task(self, task: CellTask) -> list[RunRecord]:
+        """All starts of one single-shape cell at ``task.bid``; batched
+        through the vector engine under ``engine_mode="vector"``
+        (audited runners excepted), per run otherwise."""
+        vector = self.engine_mode == "vector" and not self.audit
+        return self._run_cube(task, [task.config], [task.bid], vector)[0][task.bid]
 
     def run_cube(
         self,
@@ -855,15 +623,17 @@ class ExperimentRunner:
         num_zones: int = 3,
     ) -> list[dict[float, list[RunRecord]]]:
         """One (policy, zone-set) cell over a whole (shape x bid x
-        start) cube — a deadline ladder in one lockstep pass.
+        start) cube — a bid axis, a deadline ladder, or both, in one
+        lockstep pass.
 
-        Per shape, same ``{bid: records}`` — values *and* order — as
-        :meth:`run_grid` called once per shape, regardless of
-        ``engine_mode``; the shape rows share the zone-dynamics column
-        work inside the vector engine instead.  Audited runners fall
-        back to per-run simulation so the auditor observes every run.
-        Returns one ``{bid: records}`` dict per shape, in ``configs``
-        order.
+        Per shape, the same ``{bid: records}`` — values *and* order —
+        as :meth:`run_single_zone` / :meth:`run_redundant` called once
+        per (shape, bid); the rows share the zone-dynamics column work
+        and the bid-equivalence clones inside the vector engine
+        instead.  Audited runners and ``engine_mode="tick"`` simulate
+        per run, so the auditor observes every run and the reference
+        engine stays the reference.  Returns one ``{bid: records}``
+        dict per shape, in ``configs`` order, over the unique bids.
         """
         configs = list(configs)
         if not configs:
@@ -876,26 +646,8 @@ class ExperimentRunner:
             cell_zones = tuple(zones) if zones is not None else self.trace.zone_names
             task = CellTask(kind="single-zone", config=configs[0],
                             policy_label=policy_label, zones=cell_zones)
-        if self.audit:
-            return [
-                {bid: self._run_grid(replace(task, config=config, bid=bid))
-                 for bid in bids}
-                for config in configs
-            ]
-        starts_per_shape = [
-            [float(s) for s in self.starts(config)] for config in configs
-        ]
-        if self.workers > 1 and max(len(s) for s in starts_per_shape) > 1:
-            return self.executor.map_cube(task, configs, bids,
-                                          starts_per_shape)
-        out: list[dict[float, list[RunRecord]]] = [
-            {bid: [] for bid in bids} for _ in configs
-        ]
-        cell = self.run_cube_cell(task, configs, bids, starts_per_shape)
-        for k, pairs in enumerate(cell):
-            for bid, records in pairs:
-                out[k][bid].extend(records)
-        return out
+        vector = not (self.audit or self.engine_mode == "tick")
+        return self._run_cube(task, configs, bids, vector)
 
     # -- grid cells -------------------------------------------------------
 
@@ -913,7 +665,7 @@ class ExperimentRunner:
         zones ... to generate one boxplot".
         """
         zones = tuple(zones) if zones is not None else self.trace.zone_names
-        return self._run_grid(
+        return self._run_task(
             CellTask(kind="single-zone", config=config,
                      policy_label=policy_label, bid=bid, zones=zones)
         )
@@ -926,7 +678,7 @@ class ExperimentRunner:
         num_zones: int = 3,
     ) -> list[RunRecord]:
         """One redundancy-based policy over the first ``num_zones`` zones."""
-        return self._run_grid(
+        return self._run_task(
             CellTask(kind="redundant", config=config,
                      policy_label=policy_label, bid=bid, num_zones=num_zones)
         )
@@ -955,7 +707,7 @@ class ExperimentRunner:
         The initial configuration is a placeholder — the controller's
         first decision (before anything runs) replaces it.
         """
-        return self._run_grid(
+        return self._run_task(
             CellTask(kind="adaptive", config=config,
                      controller_factory=controller_factory)
         )
@@ -968,7 +720,7 @@ class ExperimentRunner:
     ) -> list[RunRecord]:
         """Large-bid at control threshold L (None = Naive), merged zones."""
         zones = (zone,) if zone is not None else self.trace.zone_names
-        return self._run_grid(
+        return self._run_task(
             CellTask(kind="large-bid", config=config,
                      threshold=threshold, zones=zones)
         )

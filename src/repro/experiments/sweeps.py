@@ -109,24 +109,22 @@ def sweep_bid(
     ckpt_cost_s: float = 300.0,
     redundant: bool = False,
     workers: int | None = None,
-    batched: bool = True,
 ) -> list[SweepPoint]:
     """Cost vs. bid — the sweet-spot curve behind Section 6's summary
     ("higher bid prices (after a sweet-spot) generally increase the
     median cost for redundancy-based policies").
 
-    The whole axis goes through the batched bid-axis engine
-    (:meth:`~repro.experiments.runner.ExperimentRunner.run_bid_axis`):
-    bid-invariant policies run once per availability-equivalence class
-    per start instead of once per bid, with identical per-point
-    records; other policies (and ``batched=False``, the benchmark
-    baseline) execute per-bid exactly as before.
+    The whole axis is one cube cell
+    (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`):
+    bid-invariant policies simulate once per availability-equivalence
+    class per start instead of once per bid, with per-point records
+    identical to per-bid runs.
     """
     runner = _with_workers(runner, workers)
     config = paper_experiment(slack_fraction=slack_fraction,
                               ckpt_cost_s=ckpt_cost_s)
-    axis = runner.run_bid_axis(
-        policy_label, config, bids, redundant=redundant, batched=batched
+    (axis,) = runner.run_cube(
+        policy_label, [config], bids, redundant=redundant
     )
     return [_point(float(b), axis[float(b)]) for b in dict.fromkeys(bids)]
 

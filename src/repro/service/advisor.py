@@ -318,7 +318,7 @@ class AdvisorService:
         return SurfaceSpec(**base)
 
     def _cold_build(self, job: JobSpec) -> PolicySurface:
-        surface = self.builder.build(self._cold_spec(job))
+        (surface,) = self.builder.build_family([self._cold_spec(job)])
         self._catalog.append(surface.spec)
         return surface
 

@@ -5,10 +5,13 @@ one volatility window — evaluated over the full
 (policy x bid x zone-count) decision grid, each cell aggregated over
 the window's overlapping start offsets exactly as the paper's figures
 aggregate them.  Heavy lifting happens once, offline, through
-:meth:`ExperimentRunner.run_grid` under ``engine_mode="vector"`` with
-the content-addressed run cache as the persistence layer (a rebuild
-over a warm cache is hit-only); the result is a small, versioned JSON
-artifact the online advisor can load and answer from in microseconds.
+:meth:`ExperimentRunner.run_cube` — one lockstep pass per (policy,
+zone-set) cell over a whole deadline ladder of specs
+(:meth:`SurfaceBuilder.build_family`; a single surface is a ladder of
+one) — with the content-addressed run cache as the persistence layer
+(a rebuild over a warm cache is hit-only); the result is a small,
+versioned JSON artifact per spec that the online advisor can load and
+answer from in microseconds.
 
 The artifact is content-addressed the same way engine runs are: the
 surface key is the SHA-256 of the spec's canonical form
@@ -383,7 +386,7 @@ class SurfaceBuilder:
 
         Returns the merged
         :class:`~repro.core.vector_engine.BatchStats` of every
-        :meth:`build` since the last drain (or ``None`` when nothing
+        :meth:`build_family` since the last drain (or ``None`` when nothing
         ran through a vector batch), so operators can see when a
         surface build silently fell back to per-run scalar simulation.
         """
@@ -399,54 +402,6 @@ class SurfaceBuilder:
         else:
             self._vector_stats.merge(stats)
 
-    def build(self, spec: SurfaceSpec) -> PolicySurface:
-        """Evaluate the whole decision grid and persist the artifact.
-
-        One runner serves every cell, so oracle statistics and the
-        fused (bid x start) vector batches amortize across the grid;
-        ``run_grid`` keeps each cell's records bit-identical to
-        per-bid scalar runs, which is what makes a surface lookup
-        interchangeable with a fresh sweep.
-        """
-        t0 = time.perf_counter()
-        config = spec.config()
-        cells: list[SurfaceCell] = []
-        with ExperimentRunner(
-            spec.window,
-            num_experiments=spec.num_experiments,
-            seed=spec.seed,
-            workers=self.workers,
-            engine_mode=self.engine_mode,
-            cache_dir=self._cache_dir(),
-        ) as runner:
-            for policy in spec.policies:
-                for n in spec.zone_counts:
-                    per_bid = runner.run_grid(
-                        policy,
-                        config,
-                        spec.bids,
-                        redundant=n > 1,
-                        num_zones=n,
-                    )
-                    for bid in spec.bids:
-                        cells.append(
-                            SurfaceCell.from_records(
-                                policy, n, bid, per_bid[float(bid)]
-                            )
-                        )
-            # Capture before the runner context closes (closing shuts
-            # down the executor whose workers carry the merged stats).
-            self._absorb_stats(runner.drain_vector_stats())
-        surface = PolicySurface(
-            spec=spec,
-            cells=tuple(cells),
-            build_seconds=time.perf_counter() - t0,
-            built_unix=time.time(),
-        )
-        if self.store is not None:
-            self.store.save(surface)
-        return surface
-
     def build_family(self, specs: Sequence[SurfaceSpec]) -> list[PolicySurface]:
         """Evaluate a whole shape ladder in one cube pass per cell.
 
@@ -458,9 +413,10 @@ class SurfaceBuilder:
         :meth:`ExperimentRunner.run_cube` in a single lockstep pass —
         shape rows share the zone-dynamics column work — and one
         versioned artifact is emitted per spec, each bit-identical to
-        what a standalone :meth:`build` of that spec would produce.
-        ``build_seconds`` on every artifact records the shared family
-        pass (the whole point: it is paid once, not once per deadline).
+        what a one-spec family of that spec would produce; a single
+        surface is ``build_family([spec])[0]``.  ``build_seconds`` on
+        every artifact records the shared family pass (the whole point:
+        it is paid once, not once per deadline).
         """
         specs = list(specs)
         if not specs:

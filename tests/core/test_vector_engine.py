@@ -55,14 +55,21 @@ def _fast_results(trace, config, factory, bid, zones, starts, *,
     return out
 
 
+def _start_axis(vec, config, factory, bid, zones, starts, rngs):
+    """One shape at one bid: ``run_cube`` over a start axis."""
+    n = len(starts)
+    return vec.run_cube([config], factory, zones, [0] * n, [bid] * n,
+                        starts, rngs)
+
+
 def _vector_results(trace, config, factory, bid, zones, starts, *,
                     record_events=True, seed=1234, cache=None):
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=record_events, run_cache=cache,
     )
-    return vec.run_batch(
-        config, factory, bid, zones, starts, _start_rngs(starts, seed)
+    return _start_axis(
+        vec, config, factory, bid, zones, starts, _start_rngs(starts, seed)
     )
 
 
@@ -117,9 +124,11 @@ def test_rng_streams_advance_identically(low_window, config):
             oracle=oracle, queue_model=QueueDelayModel(), rng=rng,
             engine_mode="fast",
         ).run(config, PeriodicPolicy(), 0.27, (zone,), s)
-    VectorSimulator(
-        oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
-    ).run_batch(config, PeriodicPolicy, 0.27, (zone,), starts, rv)
+    _start_axis(
+        VectorSimulator(oracle=PriceOracle(trace),
+                        queue_model=QueueDelayModel()),
+        config, PeriodicPolicy, 0.27, (zone,), starts, rv,
+    )
     for a, b in zip(rf, rv):
         assert a.bit_generator.state == b.bit_generator.state
 
@@ -159,8 +168,8 @@ def test_fractional_start_native(low_window, config):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_batch(
-        config, PeriodicPolicy, 0.27, (zone,), starts, _start_rngs(starts)
+    results = _start_axis(
+        vec, config, PeriodicPolicy, 0.27, (zone,), starts, _start_rngs(starts)
     )
     assert results == fast
     assert vec.stats.native == len(starts)
@@ -173,19 +182,19 @@ def test_batch_validation_errors(low_window, config):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel()
     )
     with pytest.raises(EngineError, match="zone"):
-        vec.run_batch(config, PeriodicPolicy, 0.27, ("nope",),
-                      [eval_start], _start_rngs([eval_start]))
+        _start_axis(vec, config, PeriodicPolicy, 0.27, ("nope",),
+                    [eval_start], _start_rngs([eval_start]))
     with pytest.raises(EngineError, match="bid"):
-        vec.run_batch(config, PeriodicPolicy, 0.0, trace.zone_names[:1],
-                      [eval_start], _start_rngs([eval_start]))
+        _start_axis(vec, config, PeriodicPolicy, 0.0, trace.zone_names[:1],
+                    [eval_start], _start_rngs([eval_start]))
     late = trace.end_time - 3600.0  # deadline beyond the trace end
     with pytest.raises(EngineError, match="before the deadline"):
-        vec.run_batch(config, PeriodicPolicy, 0.27, trace.zone_names[:1],
-                      [late], _start_rngs([late]))
+        _start_axis(vec, config, PeriodicPolicy, 0.27, trace.zone_names[:1],
+                    [late], _start_rngs([late]))
     with pytest.raises(EngineError, match="rng streams"):
-        vec.run_batch(config, PeriodicPolicy, 0.27, trace.zone_names[:1],
-                      [eval_start, eval_start + 300.0],
-                      _start_rngs([eval_start]))
+        _start_axis(vec, config, PeriodicPolicy, 0.27, trace.zone_names[:1],
+                    [eval_start, eval_start + 300.0],
+                    _start_rngs([eval_start]))
     zone = trace.zone_names[:1]
     two = [eval_start, eval_start + 3600.0]
     with pytest.raises(EngineError, match="shape index 1"):
@@ -195,13 +204,13 @@ def test_batch_validation_errors(low_window, config):
         vec.run_cube([config], PeriodicPolicy, zone, [0], [0.27, 0.27],
                      two, _start_rngs(two))
     with pytest.raises(EngineError, match="clone_of"):
-        vec.run_grid(config, PeriodicPolicy, zone, [0.27, 0.81], two,
-                     _start_rngs(two), clone_of=[None, 0, 1])
+        vec.run_cube([config], PeriodicPolicy, zone, [0, 0], [0.27, 0.81],
+                     two, _start_rngs(two), clone_of=[None, 0, 1])
     with pytest.raises(EngineError, match="representative 7"):
-        vec.run_grid(config, PeriodicPolicy, zone, [0.27, 0.81], two,
-                     _start_rngs(two), clone_of=[None, 7])
-    assert vec.run_batch(config, PeriodicPolicy, 0.27, trace.zone_names[:1],
-                         [], []) == []
+        vec.run_cube([config], PeriodicPolicy, zone, [0, 0], [0.27, 0.81],
+                     two, _start_rngs(two), clone_of=[None, 7])
+    assert _start_axis(vec, config, PeriodicPolicy, 0.27,
+                       trace.zone_names[:1], [], []) == []
 
 
 def test_vector_populates_cache_fast_engine_hits(low_window, config, tmp_path):
@@ -253,7 +262,7 @@ def test_cache_hit_burns_rng_draws(low_window, config, tmp_path):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=False, run_cache=cache,
     )
-    vecsim.run_batch(config, PeriodicPolicy, 0.27, (zone,), starts, warm)
+    _start_axis(vecsim, config, PeriodicPolicy, 0.27, (zone,), starts, warm)
     oracle = PriceOracle(trace)
     for s, rng in zip(starts, cold):
         SpotSimulator(
@@ -291,8 +300,9 @@ def test_adaptive_batch_native_matches_fast_engine(low_window, config):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_adaptive_batch(
-        config, AdaptiveController, starts, _start_rngs(starts)
+    results = vec.run_adaptive_cube(
+        [config], AdaptiveController, [0] * len(starts), starts,
+        _start_rngs(starts),
     )
     assert results == fast
     assert vec.stats.native == len(starts)
@@ -329,8 +339,9 @@ def test_adaptive_subclass_falls_back_under_controller_reason(
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_adaptive_batch(
-        config, TweakedController, starts, _start_rngs(starts)
+    results = vec.run_adaptive_cube(
+        [config], TweakedController, [0] * len(starts), starts,
+        _start_rngs(starts),
     )
     assert results == fast
     assert vec.stats.native == 0
@@ -356,8 +367,8 @@ def test_large_bid_batch_native(low_window, config, threshold):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_batch(
-        config, factory, LARGE_BID, (zone,), starts, _start_rngs(starts)
+    results = _start_axis(
+        vec, config, factory, LARGE_BID, (zone,), starts, _start_rngs(starts)
     )
     assert results == fast
     assert vec.stats.native == len(starts)
@@ -389,8 +400,8 @@ def test_engine_only_emits_enum_reasons(low_window, config):
         oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
         record_events=True,
     )
-    results = vec.run_batch(
-        config, OffGridPolicy, 0.27, (zone,), starts, _start_rngs(starts)
+    results = _start_axis(
+        vec, config, OffGridPolicy, 0.27, (zone,), starts, _start_rngs(starts)
     )
     assert results == fast  # the fallback is still bit-identical
     assert vec.stats.fallback == {FALLBACK_POLICY: len(starts)}

@@ -1,9 +1,10 @@
-"""Batched bid-axis engine: equivalence classes and record identity.
+"""Bid axis: equivalence classes and record identity.
 
-The contract under test: for bid-invariant policies,
-:meth:`ExperimentRunner.run_bid_axis` returns per-bid record lists
-identical — values *and* order — to one independent run per bid, and
-the audited event streams of two bids in the same availability
+The contract under test: a one-shape :meth:`ExperimentRunner.run_cube`
+returns per-bid record lists identical — values *and* order — to one
+independent run per bid (bid-invariant policies through
+availability-equivalence clones, the others simulating every bid),
+and the audited event streams of two bids in the same availability
 equivalence class are bit-identical.
 """
 
@@ -19,7 +20,7 @@ from repro.audit import MemorySink, RunAuditor, diff_event_streams
 from repro.core.bid_batch import bid_equivalence_classes
 from repro.core.engine import SpotSimulator
 from repro.core.periodic import PeriodicPolicy
-from repro.experiments.runner import POLICY_FACTORIES, ExperimentRunner
+from repro.experiments.runner import POLICY_FACTORIES, CellTask, ExperimentRunner
 from repro.market.queuing import QueueDelayModel
 from repro.market.spot_market import PriceOracle
 
@@ -87,51 +88,63 @@ class TestEquivalenceClasses:
         assert [cls.members for cls in classes] == [(0.81,)]
 
 
+def _axis(runner, label, config, bids, **kwargs):
+    """One shape's bid axis through the cube."""
+    (axis,) = runner.run_cube(label, [config], bids, **kwargs)
+    return axis
+
+
 class TestBatchedEqualsPerBid:
     @pytest.mark.parametrize("label", ["periodic", "edge"])
     def test_single_zone(self, runner, config, label):
-        batched = runner.run_bid_axis(label, config, BIDS)
-        per_bid = runner.run_bid_axis(label, config, BIDS, batched=False)
+        batched = _axis(runner, label, config, BIDS)
+        per_bid = {b: runner.run_single_zone(label, config, b) for b in BIDS}
         assert batched == per_bid
 
     @pytest.mark.parametrize("label", ["periodic", "edge"])
     def test_redundant(self, runner, config, label):
-        batched = runner.run_bid_axis(label, config, BIDS, redundant=True)
-        per_bid = runner.run_bid_axis(
-            label, config, BIDS, redundant=True, batched=False
-        )
+        batched = _axis(runner, label, config, BIDS, redundant=True)
+        per_bid = {b: runner.run_redundant(label, config, b) for b in BIDS}
         assert batched == per_bid
 
     def test_per_bid_matches_plain_grids(self, runner, config):
-        """The batched axis reproduces run_single_zone bid by bid."""
-        axis = runner.run_bid_axis("periodic", config, BIDS)
+        """The batched axis reproduces per-start run_cell loops bid by
+        bid."""
+        axis = _axis(runner, "periodic", config, BIDS)
         for bid in BIDS:
-            assert axis[bid] == runner.run_single_zone(
-                "periodic", config, bid
-            )
+            task = CellTask(kind="single-zone", config=config,
+                            policy_label="periodic", bid=bid,
+                            zones=runner.trace.zone_names)
+            assert axis[bid] == [
+                r for s in runner.starts(config) for r in runner.run_cell(task, s)
+            ]
 
     @pytest.mark.parametrize("label", ["markov-daly", "threshold"])
     def test_bid_sensitive_policies_fall_back(self, runner, config, label):
-        """Policies that consume the bid numerically stay per-bid."""
+        """Policies that consume the bid numerically simulate every bid:
+        no clones."""
         assert not POLICY_FACTORIES[label]().bid_invariant
-        axis = runner.run_bid_axis(label, config, (0.27, 0.81))
+        runner.drain_vector_stats()
+        axis = _axis(runner, label, config, (0.27, 0.81))
+        assert runner.drain_vector_stats().cloned == 0
         for bid in (0.27, 0.81):
             assert axis[bid] == runner.run_single_zone(label, config, bid)
 
     def test_parallel_workers_identical(self, config):
         serial = ExperimentRunner("low", num_experiments=3)
         with ExperimentRunner("low", num_experiments=3, workers=2) as par:
-            assert par.run_bid_axis("periodic", config, BIDS) == \
-                serial.run_bid_axis("periodic", config, BIDS)
+            assert _axis(par, "periodic", config, BIDS) == \
+                _axis(serial, "periodic", config, BIDS)
 
     def test_high_window_grid(self, config):
         runner = ExperimentRunner("high", num_experiments=3)
-        batched = runner.run_bid_axis("periodic", config, BIDS)
-        per_bid = runner.run_bid_axis("periodic", config, BIDS, batched=False)
+        batched = _axis(runner, "periodic", config, BIDS)
+        per_bid = {b: runner.run_single_zone("periodic", config, b)
+                   for b in BIDS}
         assert batched == per_bid
 
     def test_duplicate_bids_collapse(self, runner, config):
-        axis = runner.run_bid_axis("periodic", config, (0.81, 0.81, 0.27))
+        axis = _axis(runner, "periodic", config, (0.81, 0.81, 0.27))
         assert set(axis) == {0.81, 0.27}
 
 
@@ -177,7 +190,7 @@ class TestAuditedDifferential:
         """Batched clones equal fully audited independent simulations."""
         start = float(runner.starts(config)[0])
         zone = runner.trace.zone_names[0]
-        axis = runner.run_bid_axis("periodic", config, BIDS, zones=(zone,))
+        axis = _axis(runner, "periodic", config, BIDS, zones=(zone,))
         for bid in BIDS:
             _, result = self._audited_run(runner, config, bid, start, zone)
             rec = [r for r in axis[bid] if r.start_time == start]

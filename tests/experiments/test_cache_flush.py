@@ -35,9 +35,9 @@ BIDS = [0.27, 0.81]
 
 ENTRY_POINTS = {
     "cube": lambda r: r.run_cube("periodic", LADDER, BIDS),
-    "grid": lambda r: r.run_grid("markov-daly", CONFIG, BIDS),
-    "start-axis": lambda r: r.run_start_axis("periodic", CONFIG, 0.81),
-    "bid-axis": lambda r: r.run_bid_axis("periodic", CONFIG, BIDS),
+    "grid": lambda r: r.run_cube("markov-daly", [CONFIG], BIDS),
+    "start-axis": lambda r: r.run_cube("periodic", [CONFIG], [0.81]),
+    "bid-axis": lambda r: r.run_cube("periodic", [CONFIG], BIDS),
     "per-run-cells": lambda r: r.run_single_zone("edge", CONFIG, 0.81),
     "adaptive": lambda r: r.run_adaptive(LADDER[1]),
 }

@@ -63,8 +63,8 @@ def _batch(oracle, cache=None):
     )
     starts = [eval_start + k * 7200.0 for k in range(ROWS)]
     rngs = [np.random.default_rng(k) for k in range(ROWS)]
-    return sim.run_batch(CONFIG, PeriodicPolicy, 0.81,
-                         oracle.zone_names[:1], starts, rngs)
+    return sim.run_cube([CONFIG], PeriodicPolicy, oracle.zone_names[:1],
+                        [0] * ROWS, [0.81] * ROWS, starts, rngs)
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,10 @@
-"""Fused (bid x start) grid entry point: runner-level equivalence.
+"""Fused (bid x start) grid: a one-shape cube, runner-level equivalence.
 
-:meth:`ExperimentRunner.run_grid` must return per-bid record lists
-identical — values *and* order — to :meth:`run_single_zone` /
-:meth:`run_redundant` called once per bid, whatever the engine mode;
-``run_bid_axis`` under ``engine_mode="vector"`` delegates to it; and
-shapes the vector engine cannot batch (Adaptive, audited runners)
-fall back to per-run simulation with the same results.
+:meth:`ExperimentRunner.run_cube` over one job shape must return
+per-bid record lists identical — values *and* order — to
+:meth:`run_single_zone` / :meth:`run_redundant` called once per bid,
+whatever the engine mode; audited runners fall back to per-run
+simulation with the same results.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ class TestRunGridEquivalence:
     def test_single_zone_matches_per_bid(
         self, vector_runner, fast_runner, config, label
     ):
-        grid = vector_runner.run_grid(label, config, BIDS)
+        (grid,) = vector_runner.run_cube(label, [config], BIDS)
         for bid in BIDS:
             assert grid[bid] == fast_runner.run_single_zone(
                 label, config, bid
@@ -48,8 +47,8 @@ class TestRunGridEquivalence:
     def test_redundant_matches_per_bid(
         self, vector_runner, fast_runner, config, label
     ):
-        grid = vector_runner.run_grid(
-            label, config, BIDS, redundant=True, num_zones=2
+        (grid,) = vector_runner.run_cube(
+            label, [config], BIDS, redundant=True, num_zones=2
         )
         for bid in BIDS:
             assert grid[bid] == fast_runner.run_redundant(
@@ -57,24 +56,18 @@ class TestRunGridEquivalence:
             )
 
     def test_duplicate_bids_collapse(self, vector_runner, config):
-        grid = vector_runner.run_grid(
-            "periodic", config, (0.81, 0.81, 0.27)
+        (grid,) = vector_runner.run_cube(
+            "periodic", [config], (0.81, 0.81, 0.27)
         )
         assert set(grid) == {0.81, 0.27}
 
-    def test_bid_axis_delegates_to_fused_grid(
-        self, vector_runner, fast_runner, config
-    ):
-        """Vector-mode run_bid_axis == the fast batched bid axis."""
-        assert vector_runner.run_bid_axis("periodic", config, BIDS) == \
-            fast_runner.run_bid_axis("periodic", config, BIDS)
-
-    def test_parallel_map_grid_identical(self, vector_runner, config):
+    def test_parallel_single_shape_cube_identical(self, vector_runner,
+                                                  config):
         with ExperimentRunner(
             "low", num_experiments=3, engine_mode="vector", workers=2
         ) as par:
-            assert par.run_grid("markov-daly", config, BIDS) == \
-                vector_runner.run_grid("markov-daly", config, BIDS)
+            assert par.run_cube("markov-daly", [config], BIDS) == \
+                vector_runner.run_cube("markov-daly", [config], BIDS)
 
 
 class TestFallbacks:
@@ -93,7 +86,7 @@ class TestFallbacks:
             "low", num_experiments=2, engine_mode="vector", audit=True,
         )
         plain = ExperimentRunner("low", num_experiments=2)
-        grid = audited.run_grid("periodic", config, (0.27, 0.81))
+        (grid,) = audited.run_cube("periodic", [config], (0.27, 0.81))
         for bid in (0.27, 0.81):
             assert grid[bid] == plain.run_single_zone(
                 "periodic", config, bid
@@ -107,7 +100,7 @@ class TestVectorStats:
     def test_drain_reports_and_resets(self, config):
         runner = ExperimentRunner("low", num_experiments=3,
                                   engine_mode="vector")
-        runner.run_grid("periodic", config, BIDS)
+        runner.run_cube("periodic", [config], BIDS)
         stats = runner.drain_vector_stats()
         assert stats is not None and stats.total > 0
         assert stats.native > 0

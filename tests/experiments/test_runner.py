@@ -89,3 +89,35 @@ class TestGridShapes:
         b = runner.run_single_zone("periodic", config, 0.81,
                                    zones=("us-east-1a",))
         assert [r.cost for r in a] == [r.cost for r in b]
+
+
+class TestWorkerConfiguration:
+    def test_explicit_trace_refuses_workers(self):
+        """Pool workers rebuild the window from window/seed, so an
+        explicit trace under workers > 1 would silently simulate a
+        different trace: refuse it."""
+        from repro.traces.library import evaluation_window
+
+        trace, eval_start = evaluation_window("high", 7)
+        with pytest.raises(ValueError, match="explicit trace"):
+            ExperimentRunner("high", num_experiments=2, seed=0, trace=trace,
+                             eval_start=eval_start, workers=2)
+        one = ExperimentRunner("high", num_experiments=2, seed=0,
+                               trace=trace, eval_start=eval_start)
+        assert one.trace is trace
+
+    def test_with_workers_keeps_trace_and_cache(self):
+        from repro.experiments.cache import RunCache
+        from repro.traces.library import evaluation_window
+
+        cache = RunCache(None)
+        own = ExperimentRunner("low", num_experiments=2, cache=cache)
+        with own.with_workers(2) as par:
+            assert par.cache is cache and par.workers == 2
+            assert par.trace is own.trace
+        trace, eval_start = evaluation_window("low", 7)
+        explicit = ExperimentRunner("low", num_experiments=2, trace=trace,
+                                    eval_start=eval_start, cache=cache)
+        with pytest.raises(ValueError, match="explicit trace"):
+            explicit.with_workers(2)
+        assert explicit.with_workers(1) is explicit

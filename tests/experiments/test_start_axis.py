@@ -3,7 +3,9 @@
 ``engine_mode="vector"`` must be invisible in the results: every grid
 API returns records bit-identical — values and order — to the fast
 runner, whether the batch runs serially, over a worker pool, against a
-warm cache, or falls back per run for non-native policies.
+warm cache, or falls back per run for non-native policies.  The
+single-bid start-axis cells also stay reachable through
+``run_start_axis_cells``, the name the benchmark tracer patches.
 """
 
 from __future__ import annotations
@@ -75,23 +77,24 @@ def test_vector_runner_matches_fast_large_bid(fast_runner, vector_runner,
 
 
 def test_run_start_axis_equals_run_single_zone(fast_runner, config):
-    """The explicit batched API matches the per-run grid on any runner."""
+    """A one-bid cube is batched on any runner and matches the per-run
+    grid."""
     a = fast_runner.run_single_zone("edge", config, 0.81)
-    b = fast_runner.run_start_axis("edge", config, 0.81)
-    assert a == b
+    (b,) = fast_runner.run_cube("edge", [config], [0.81])
+    assert a == b[0.81]
 
 
 def test_run_start_axis_subset_of_zones(fast_runner, config):
     zones = fast_runner.trace.zone_names[:1]
     a = fast_runner.run_single_zone("periodic", config, 0.81, zones=zones)
-    b = fast_runner.run_start_axis("periodic", config, 0.81, zones=zones)
-    assert a == b
-    assert all(r.result.zones == tuple(zones) for r in b)
+    (b,) = fast_runner.run_cube("periodic", [config], [0.81], zones=zones)
+    assert a == b[0.81]
+    assert all(r.result.zones == tuple(zones) for r in b[0.81])
 
 
 def test_start_axis_cells_rejects_unknown_kind(fast_runner, config):
     task = CellTask(kind="mystery", config=config)
-    with pytest.raises(ValueError, match="start-axis batching"):
+    with pytest.raises(ValueError, match="cube batching"):
         fast_runner.run_start_axis_cells(task, [fast_runner.eval_start])
 
 
@@ -179,11 +182,3 @@ def test_audited_vector_runner_falls_back_per_run(config, fast_runner):
 def test_drain_cache_stats_none_without_cache(fast_runner):
     assert fast_runner.drain_cache_stats() is None
 
-
-def test_vector_bid_axis_unbatched_routes_through_vector(vector_runner,
-                                                         fast_runner, config):
-    """run_bid_axis(batched=False) per-bid grids ride the vector path."""
-    bids = (0.27, 0.81)
-    a = fast_runner.run_bid_axis("periodic", config, bids, batched=False)
-    b = vector_runner.run_bid_axis("periodic", config, bids, batched=False)
-    assert a == b

@@ -2,7 +2,7 @@
 
 The acceptance anchor lives here too: a warm ``advise`` answer must be
 *identical* — policy, bid, zones and expected cost — to the argmin a
-caller would compute from a direct :meth:`ExperimentRunner.run_grid`
+caller would compute from a direct :meth:`ExperimentRunner.run_cube`
 sweep over the same grid, because a surface is nothing but that sweep
 cached to disk.
 """
@@ -47,7 +47,9 @@ def run(coro):
 def store(tmp_path_factory):
     """A store holding one surface for the BASE job shape."""
     store = SurfaceStore(tmp_path_factory.mktemp("adv-surfaces"))
-    SurfaceBuilder(store=store).build(SurfaceSpec(deadline_s=DEADLINE, **BASE))
+    SurfaceBuilder(store=store).build_family(
+        [SurfaceSpec(deadline_s=DEADLINE, **BASE)]
+    )
     return store
 
 
@@ -106,8 +108,8 @@ class TestWarmPath:
         ) as runner:
             for policy in spec.policies:
                 for n in spec.zone_counts:
-                    per_bid = runner.run_grid(
-                        policy, config, spec.bids,
+                    (per_bid,) = runner.run_cube(
+                        policy, [config], spec.bids,
                         redundant=n > 1, num_zones=n,
                     )
                     for bid in spec.bids:
@@ -160,8 +162,8 @@ class TestCoalescingAndLRU:
 
     def test_lru_eviction_and_reheat(self, store, tmp_path):
         # second surface in the same store, different deadline
-        SurfaceBuilder(store=store).build(
-            SurfaceSpec(deadline_s=4 * 3600.0, **BASE)
+        SurfaceBuilder(store=store).build_family(
+            [SurfaceSpec(deadline_s=4 * 3600.0, **BASE)]
         )
         service = AdvisorService(store, max_hot=1)
         run(service.advise(job()))                      # load A
@@ -180,7 +182,7 @@ class TestInterpolatedPath:
         store = SurfaceStore(tmp_path_factory.mktemp("brackets"))
         builder = SurfaceBuilder(store=store)
         for deadline in (3 * 3600.0, 4 * 3600.0):
-            builder.build(SurfaceSpec(deadline_s=deadline, **BASE))
+            builder.build_family([SurfaceSpec(deadline_s=deadline, **BASE)])
         return store
 
     def test_between_brackets_interpolates_cost(self, bracket_store):

@@ -36,7 +36,7 @@ SMALL = dict(
 @pytest.fixture(scope="module")
 def built(tmp_path_factory):
     store = SurfaceStore(tmp_path_factory.mktemp("surfaces"))
-    surface = SurfaceBuilder(store=store).build(SurfaceSpec(**SMALL))
+    (surface,) = SurfaceBuilder(store=store).build_family([SurfaceSpec(**SMALL)])
     return store, surface
 
 
@@ -232,7 +232,7 @@ class TestStore:
         """Same spec -> same artifact; the second build runs over the
         store's warm run cache (the runcache directory is populated)."""
         store, surface = built
-        rebuilt = SurfaceBuilder(store=store).build(surface.spec)
+        (rebuilt,) = SurfaceBuilder(store=store).build_family([surface.spec])
         assert rebuilt.cells == surface.cells
         assert rebuilt.key == surface.key
         cache_files = list(

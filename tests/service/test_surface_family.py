@@ -1,8 +1,8 @@
 """Surface families: one cube pass, a whole deadline ladder of artifacts.
 
 :meth:`SurfaceBuilder.build_family` must emit, per spec, an artifact
-bit-identical in content to a standalone :meth:`build` of that spec
-(the cube pass is an execution strategy, not a semantic change), and
+bit-identical in content to a one-spec family of that spec (the shared
+cube pass is an execution strategy, not a semantic change), and
 the advisor must answer intermediate-deadline queries from the family
 brackets — no cold build — preferring bracket pairs drawn from one
 family over mixed-axes pairs.
@@ -69,7 +69,7 @@ class TestBuildFamily:
         solo_builder = SurfaceBuilder(store=solo_store)
         for d in LADDER:
             family = family_store.load(spec(d).key())
-            solo = solo_builder.build(spec(d))
+            (solo,) = solo_builder.build_family([spec(d)])
             assert family.spec == solo.spec
             assert family.cells == solo.cells
             assert family.key == solo.key
@@ -126,7 +126,7 @@ class TestFamilyBrackets:
         store = SurfaceStore(tmp_path_factory.mktemp("mixed"))
         builder = SurfaceBuilder(store=store)
         builder.build_family([spec(3 * 3600.0), spec(5 * 3600.0)])
-        builder.build(spec(3.9 * 3600.0, num_experiments=3))
+        builder.build_family([spec(3.9 * 3600.0, num_experiments=3)])
         service = AdvisorService(store)
         advice = run(service.advise(job(4.2 * 3600.0)))
         assert advice.source == "interpolated"
@@ -140,8 +140,8 @@ class TestFamilyBrackets:
         nearest-pair behavior still interpolates."""
         store = SurfaceStore(tmp_path_factory.mktemp("fallback"))
         builder = SurfaceBuilder(store=store)
-        builder.build(spec(3 * 3600.0))
-        builder.build(spec(5 * 3600.0, num_experiments=3))
+        builder.build_family([spec(3 * 3600.0)])
+        builder.build_family([spec(5 * 3600.0, num_experiments=3)])
         service = AdvisorService(store)
         advice = run(service.advise(job(4 * 3600.0)))
         assert advice.source == "interpolated"
