@@ -18,8 +18,7 @@ the scalar loop (the end-to-end win a family build sees, floor 3x in
 ``check_regression.py``); ``grid_ratio`` records cube vs the
 per-shape fused grids — the marginal value of the shape axis alone —
 as an ungated diagnostic, since a ~1.1x ratio would sit on the
-absolute-parity floor and flake exactly the way the arena bench once
-did.  Results land in ``BENCH_vector_cube.json`` at the repo root.
+absolute-parity floor and flake on scheduler noise.  Results land in ``BENCH_vector_cube.json`` at the repo root.
 
 Set ``REPRO_BENCH_CUBE_STARTS`` (default 256) to rescale; the paper
 acceptance bar is 256.  Below 96 starts the vector batches no longer

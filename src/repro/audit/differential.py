@@ -16,19 +16,20 @@ A non-empty report pinpoints the first divergent event, which is the
 fastest way to localize a fast-path bug: the divergence names the
 simulation time, zone and event kind where the engines disagree.
 
-:func:`vector_differential_run` extends the same contract to the
+:func:`vector_differential_cube` extends the same contract to the
 struct-of-arrays batch engine (:mod:`repro.core.vector_engine`): a
-whole start axis runs once through the vector engine and once through
-per-run audited fast simulations, and every run is diffed field by
-field — RunResults, engine event logs, and the vector log against the
-scalar side's *audited* stream (meta and transition events filtered
-out), so the batch path is held to the exact event sequence the audit
-layer certifies.  :func:`vector_differential_grid` does the same for a
-fused (bid x start) tile — bid-equivalence clone rows included, each
-held to a fully independent audited run at its own bid — and
-:func:`vector_differential_cube` for a (shape x bid x start) cube,
-where every shape row is held to an independent audited run at its own
-(compute, deadline, checkpoint-cost) shape.
+(shape x bid x start) cube — a single start axis or a fused
+(bid x start) tile being a cube with some axes of length 1 — runs once
+through the vector engine and once through per-run audited fast
+simulations, and every row is diffed field by field — RunResults,
+engine event logs, and the vector log against the scalar side's
+*audited* stream (meta and transition events filtered out), so the
+batch path is held to the exact event sequence the audit layer
+certifies.  Bid-equivalence clone rows are each held to a fully
+independent audited run at their own bid, and every shape row to one
+at its own (compute, deadline, checkpoint-cost) shape.
+:func:`vector_differential_adaptive` does the same for the Adaptive
+controller's cube.
 """
 
 from __future__ import annotations
@@ -290,29 +291,35 @@ def diff_log_vs_audit_stream(
     return diffs
 
 
-def vector_differential_run(
-    trace,
-    config,
-    policy_factory: Callable[[], object],
-    bid: float,
-    zones: tuple[str, ...],
-    starts: Sequence[float],
-    *,
-    queue_model=None,
-    seed: int = 0,
-) -> VectorDifferentialReport:
-    """Replay a start axis under the vector and fast engines and diff.
+def _row_rngs(seed: int, row_starts: Sequence[float]) -> list:
+    """Runner-style per-row RNG streams
+    (``SeedSequence(entropy=seed, spawn_key=(start,))``)."""
+    return [
+        np.random.default_rng(
+            np.random.SeedSequence(entropy=seed, spawn_key=(int(s),))
+        )
+        for s in row_starts
+    ]
 
-    The vector side runs the whole batch at once through
-    :class:`~repro.core.vector_engine.VectorSimulator` (native lockstep
-    or per-run fallback, whatever the policy admits); the scalar side
-    runs every start through an *audited* fast simulator.  Both sides
-    get fresh oracles and runner-style per-start RNG streams
-    (``SeedSequence(entropy=seed, spawn_key=(start,))``), mirroring how
-    ``ExperimentRunner`` seeds the grid.  Every run is then diffed:
-    RunResult fields (the engine event logs ride along as a field) plus
-    the vector log against the audited stream, which pins the batch
-    engine to the event sequence the invariant checker certified.
+
+def _replay_and_diff(
+    trace,
+    queue_model,
+    seed: int,
+    row_starts: Sequence[float],
+    run_scalar: Callable,
+    run_vector: Callable,
+    where: Callable[[int], str],
+) -> VectorDifferentialReport:
+    """Run every row through an audited fast simulator, then the whole
+    batch through the vector engine, and diff them row by row.
+
+    ``run_scalar(sim, i)`` runs row ``i`` on a fresh audited fast
+    simulator; ``run_vector(vec, rngs)`` serves every row at once.
+    Both sides get their own fresh oracle and the same per-row RNG
+    streams.  Each row is diffed on its RunResult fields (event logs
+    ride along) and on its vector log against the audited stream;
+    ``where(i)`` names the row in the diffs.
     """
     from repro.core.engine import SpotSimulator
     from repro.core.vector_engine import VectorSimulator
@@ -320,38 +327,25 @@ def vector_differential_run(
     from repro.market.spot_market import PriceOracle
 
     qm = queue_model or QueueDelayModel()
-    starts = [float(s) for s in starts]
-
-    def start_rngs():
-        return [
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(int(s),))
-            )
-            for s in starts
-        ]
-
     fast_oracle = PriceOracle(trace)
     sink = MemorySink()
     auditor = RunAuditor(sink=sink, strict=False)
     fast_results = []
     audited_streams: list[list[AuditEvent]] = []
-    for s, rng in zip(starts, start_rngs()):
+    for i, rng in enumerate(_row_rngs(seed, row_starts)):
         before = len(sink.events)
         sim = SpotSimulator(
             oracle=fast_oracle, queue_model=qm, rng=rng,
             record_events=True, engine_mode="fast", auditor=auditor,
         )
-        fast_results.append(sim.run(config, policy_factory(), bid, zones, s))
+        fast_results.append(run_scalar(sim, i))
         audited_streams.append(list(sink.events[before:]))
     fast_audit = auditor.drain()
 
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=qm, record_events=True
     )
-    vector_results = vec.run_cube(
-        [config], policy_factory, zones, [0] * len(starts),
-        [bid] * len(starts), starts, start_rngs(),
-    )
+    vector_results = run_vector(vec, _row_rngs(seed, row_starts))
 
     report = VectorDifferentialReport(
         fast_audit=fast_audit,
@@ -359,13 +353,14 @@ def vector_differential_run(
         fast_results=fast_results,
     )
     for i, (v, f) in enumerate(zip(vector_results, fast_results)):
+        label = where(i)
         for d in diff_results(v, f):
             report.result_diffs.append(
-                FieldDiff(f"start[{i}].{d.where}", d.field, d.fast, d.tick)
+                FieldDiff(f"{label}.{d.where}", d.field, d.fast, d.tick)
             )
         report.audit_stream_diffs.extend(
             diff_log_vs_audit_stream(
-                v.events, audited_streams[i], where=f"start[{i}].event"
+                v.events, audited_streams[i], where=f"{label}.event"
             )
         )
     return report
@@ -397,13 +392,8 @@ def vector_differential_adaptive(
     event diff.
     """
     from repro.app.workload import ExperimentConfig
-    from repro.core.engine import SpotSimulator
     from repro.core.periodic import PeriodicPolicy
-    from repro.core.vector_engine import VectorSimulator
-    from repro.market.queuing import QueueDelayModel
-    from repro.market.spot_market import PriceOracle
 
-    qm = queue_model or QueueDelayModel()
     configs = (
         [configs] if isinstance(configs, ExperimentConfig) else list(configs)
     )
@@ -412,158 +402,22 @@ def vector_differential_adaptive(
     row_starts = starts * len(configs)
     zones = tuple(trace.zone_names[:1])
 
-    def row_rngs():
-        return [
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(int(s),))
-            )
-            for s in row_starts
-        ]
-
-    fast_oracle = PriceOracle(trace)
-    sink = MemorySink()
-    auditor = RunAuditor(sink=sink, strict=False)
-    fast_results = []
-    audited_streams: list[list[AuditEvent]] = []
-    for k, s, rng in zip(shape_idx, row_starts, row_rngs()):
-        before = len(sink.events)
-        sim = SpotSimulator(
-            oracle=fast_oracle, queue_model=qm, rng=rng,
-            record_events=True, engine_mode="fast", auditor=auditor,
-        )
+    def run_scalar(sim, i):
         controller = controller_factory()
-        fast_results.append(sim.run(
-            configs[k], PeriodicPolicy(), controller.bids[0], zones, s,
-            controller=controller,
-        ))
-        audited_streams.append(list(sink.events[before:]))
-    fast_audit = auditor.drain()
-
-    vec = VectorSimulator(
-        oracle=PriceOracle(trace), queue_model=qm, record_events=True
-    )
-    vector_results = vec.run_adaptive_cube(
-        configs, controller_factory, shape_idx, row_starts, row_rngs()
-    )
-
-    report = VectorDifferentialReport(
-        fast_audit=fast_audit,
-        vector_results=vector_results,
-        fast_results=fast_results,
-    )
-    for i, (v, f) in enumerate(zip(vector_results, fast_results)):
-        where = f"row[{i}](shape={shape_idx[i]})"
-        for d in diff_results(v, f):
-            report.result_diffs.append(
-                FieldDiff(f"{where}.{d.where}", d.field, d.fast, d.tick)
-            )
-        report.audit_stream_diffs.extend(
-            diff_log_vs_audit_stream(
-                v.events, audited_streams[i], where=f"{where}.event"
-            )
+        return sim.run(
+            configs[shape_idx[i]], PeriodicPolicy(), controller.bids[0],
+            zones, row_starts[i], controller=controller,
         )
-    return report
 
-
-def vector_differential_grid(
-    trace,
-    config,
-    policy_factory: Callable[[], object],
-    bids: Sequence[float],
-    zones: tuple[str, ...],
-    starts: Sequence[float],
-    *,
-    queue_model=None,
-    seed: int = 0,
-) -> VectorDifferentialReport:
-    """Replay a fused (bid x start) tile and diff it row by row.
-
-    Rows are laid out start-major over the bid grid — the layout
-    ``ExperimentRunner.run_cube_cell`` feeds the engine for one shape —
-    including the availability-equivalence clone plan for bid-invariant
-    policies.
-    The scalar side simulates *every* row independently through an
-    audited fast engine, so cloned rows are held to the strongest
-    standard: bit-identical to a full independent run at their own
-    (bid, start), not merely to the representative they were copied
-    from.
-    """
-    from repro.core.bid_batch import bid_equivalence_classes
-    from repro.core.engine import SpotSimulator
-    from repro.core.vector_engine import VectorSimulator
-    from repro.market.queuing import QueueDelayModel
-    from repro.market.spot_market import PriceOracle
-
-    qm = queue_model or QueueDelayModel()
-    bids = [float(b) for b in bids]
-    starts = [float(s) for s in starts]
-    zones = tuple(zones)
-    nb = len(bids)
-    row_bids = [bid for _ in starts for bid in bids]
-    row_starts = [s for s in starts for _ in bids]
-
-    def row_rngs():
-        return [
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(int(s),))
-            )
-            for s in row_starts
-        ]
-
-    clone_of = None
-    if nb > 1 and getattr(type(policy_factory()), "bid_invariant", False):
-        clone_of = [None] * len(row_bids)
-        bcol = {bid: j for j, bid in enumerate(bids)}
-        for si, s in enumerate(starts):
-            classes = bid_equivalence_classes(
-                trace, zones, bids, s, config.deadline_s
-            )
-            for cls in classes:
-                rep_row = si * nb + bcol[cls.representative]
-                for bid in cls.members:
-                    if bid != cls.representative:
-                        clone_of[si * nb + bcol[bid]] = rep_row
-
-    fast_oracle = PriceOracle(trace)
-    sink = MemorySink()
-    auditor = RunAuditor(sink=sink, strict=False)
-    fast_results = []
-    audited_streams: list[list[AuditEvent]] = []
-    for bid, s, rng in zip(row_bids, row_starts, row_rngs()):
-        before = len(sink.events)
-        sim = SpotSimulator(
-            oracle=fast_oracle, queue_model=qm, rng=rng,
-            record_events=True, engine_mode="fast", auditor=auditor,
+    def run_vector(vec, rngs):
+        return vec.run_adaptive_cube(
+            configs, controller_factory, shape_idx, row_starts, rngs
         )
-        fast_results.append(sim.run(config, policy_factory(), bid, zones, s))
-        audited_streams.append(list(sink.events[before:]))
-    fast_audit = auditor.drain()
 
-    vec = VectorSimulator(
-        oracle=PriceOracle(trace), queue_model=qm, record_events=True
+    return _replay_and_diff(
+        trace, queue_model, seed, row_starts, run_scalar, run_vector,
+        lambda i: f"row[{i}](shape={shape_idx[i]})",
     )
-    vector_results = vec.run_cube(
-        [config], policy_factory, zones, [0] * len(row_starts), row_bids,
-        row_starts, row_rngs(), clone_of=clone_of,
-    )
-
-    report = VectorDifferentialReport(
-        fast_audit=fast_audit,
-        vector_results=vector_results,
-        fast_results=fast_results,
-    )
-    for i, (v, f) in enumerate(zip(vector_results, fast_results)):
-        where = f"row[{i}](bid={row_bids[i]:.2f})"
-        for d in diff_results(v, f):
-            report.result_diffs.append(
-                FieldDiff(f"{where}.{d.where}", d.field, d.fast, d.tick)
-            )
-        report.audit_stream_diffs.extend(
-            diff_log_vs_audit_stream(
-                v.events, audited_streams[i], where=f"{where}.event"
-            )
-        )
-    return report
 
 
 def vector_differential_cube(
@@ -579,23 +433,22 @@ def vector_differential_cube(
 ) -> VectorDifferentialReport:
     """Replay a fused (shape x bid x start) cube and diff it row by row.
 
-    Rows are laid out shape-major over per-shape (bid x start) tiles —
-    the layout ``ExperimentRunner.run_cube_cell`` feeds the engine —
-    with the availability-equivalence clone plan resolved per
-    (shape, start) so clones never cross shapes.  The scalar side
-    simulates *every* row independently through an audited fast engine
-    at that row's own :class:`~repro.app.workload.ExperimentConfig`:
-    sharing the zone-dynamics column work across the shape ladder must
-    leave each shape's RunResults, event logs and queue-delay draw
-    sequences exactly what standalone runs at that shape produce.
+    Rows are laid out shape-major over per-shape (bid x start) tiles,
+    start-major within a tile — the layout
+    ``ExperimentRunner.run_cube_cell`` feeds the engine — with the
+    availability-equivalence clone plan resolved per (shape, start) so
+    clones never cross shapes.  The scalar side simulates *every* row
+    independently through an audited fast engine at that row's own
+    :class:`~repro.app.workload.ExperimentConfig` and bid: cloned rows
+    are held to a full independent run at their own (bid, start), not
+    merely to the representative they were copied from, and sharing
+    the zone-dynamics column work across the shape ladder must leave
+    each shape's RunResults, event logs and queue-delay draw sequences
+    exactly what standalone runs at that shape produce.  A single
+    start axis is the cube ``([config], [bid], [starts])``.
     """
     from repro.core.bid_batch import bid_equivalence_classes
-    from repro.core.engine import SpotSimulator
-    from repro.core.vector_engine import VectorSimulator
-    from repro.market.queuing import QueueDelayModel
-    from repro.market.spot_market import PriceOracle
 
-    qm = queue_model or QueueDelayModel()
     configs = list(configs)
     bids = [float(b) for b in bids]
     zones = tuple(zones)
@@ -612,14 +465,6 @@ def vector_differential_cube(
                 row_bids.append(bid)
                 row_starts.append(float(s))
 
-    def row_rngs():
-        return [
-            np.random.default_rng(
-                np.random.SeedSequence(entropy=seed, spawn_key=(int(s),))
-            )
-            for s in row_starts
-        ]
-
     clone_of = None
     if nb > 1 and getattr(type(policy_factory()), "bid_invariant", False):
         clone_of = [None] * len(row_bids)
@@ -635,45 +480,19 @@ def vector_differential_cube(
                         if bid != cls.representative:
                             clone_of[row0[k] + si * nb + bcol[bid]] = rep_row
 
-    fast_oracle = PriceOracle(trace)
-    sink = MemorySink()
-    auditor = RunAuditor(sink=sink, strict=False)
-    fast_results = []
-    audited_streams: list[list[AuditEvent]] = []
-    for k, bid, s, rng in zip(shape_idx, row_bids, row_starts, row_rngs()):
-        before = len(sink.events)
-        sim = SpotSimulator(
-            oracle=fast_oracle, queue_model=qm, rng=rng,
-            record_events=True, engine_mode="fast", auditor=auditor,
+    def run_scalar(sim, i):
+        return sim.run(
+            configs[shape_idx[i]], policy_factory(), row_bids[i], zones,
+            row_starts[i],
         )
-        fast_results.append(
-            sim.run(configs[k], policy_factory(), bid, zones, s)
-        )
-        audited_streams.append(list(sink.events[before:]))
-    fast_audit = auditor.drain()
 
-    vec = VectorSimulator(
-        oracle=PriceOracle(trace), queue_model=qm, record_events=True
-    )
-    vector_results = vec.run_cube(
-        configs, policy_factory, zones, shape_idx, row_bids, row_starts,
-        row_rngs(), clone_of=clone_of,
-    )
-
-    report = VectorDifferentialReport(
-        fast_audit=fast_audit,
-        vector_results=vector_results,
-        fast_results=fast_results,
-    )
-    for i, (v, f) in enumerate(zip(vector_results, fast_results)):
-        where = f"row[{i}](shape={shape_idx[i]},bid={row_bids[i]:.2f})"
-        for d in diff_results(v, f):
-            report.result_diffs.append(
-                FieldDiff(f"{where}.{d.where}", d.field, d.fast, d.tick)
-            )
-        report.audit_stream_diffs.extend(
-            diff_log_vs_audit_stream(
-                v.events, audited_streams[i], where=f"{where}.event"
-            )
+    def run_vector(vec, rngs):
+        return vec.run_cube(
+            configs, policy_factory, zones, shape_idx, row_bids, row_starts,
+            rngs, clone_of=clone_of,
         )
-    return report
+
+    return _replay_and_diff(
+        trace, queue_model, seed, row_starts, run_scalar, run_vector,
+        lambda i: f"row[{i}](shape={shape_idx[i]},bid={row_bids[i]:.2f})",
+    )

@@ -41,7 +41,7 @@ scalar engine's arithmetic in the same order (left-associative sums,
 accumulators), every RNG draw comes from the same per-run
 ``numpy.random.Generator`` in the same sequence, and the event log —
 when recorded — matches entry for entry.  The differential suite
-(:func:`repro.audit.differential.vector_differential_run`) holds the
+(:func:`repro.audit.differential.vector_differential_cube`) holds the
 engine to it.
 
 Scope: the native vectorized path covers runs at any start time

@@ -13,17 +13,12 @@ vectorised (shape x bid x start) cube.
 
 Design:
 
-* **Shared-memory trace arena.**  The parent publishes each zone's
-  price array once into a ``multiprocessing.shared_memory`` block,
-  together with pre-warmed oracle statistic tables (per-bucket
-  stationary vectors, per-threshold crossing indices).  Workers map
-  the block zero-copy: their :class:`ZoneTrace` objects are views into
-  the arena, their oracles are seeded with the parent's
-  eigendecompositions, and the trace archive is generated exactly once
-  per sweep instead of once per process.  When shared memory is
-  unavailable (or the arena fails to build), workers fall back to
-  regenerating the window locally — the previous copy-on-write path —
-  with bit-identical results.
+* **Per-process window.**  Each worker builds its trace and oracle
+  once, at pool start-up, through the process-wide
+  :func:`~repro.traces.library.evaluation_window` cache; the pool's
+  forked workers inherit any window the parent already generated, and
+  every worker's oracle fits its Markov chains lazily for the buckets
+  its own cells touch.
 * **Ordered merge.**  Futures are collected in submission (= start)
   order, so the record list is identical — values and order — to the
   serial path.  ``RunRecord`` trees are plain frozen dataclasses of
@@ -41,9 +36,11 @@ only needed for custom grids.
 
 from __future__ import annotations
 
+import glob
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -53,159 +50,11 @@ from repro.core.vector_engine import BatchStats
 from repro.experiments.cache import CacheStats
 from repro.experiments.metrics import RunRecord
 from repro.experiments.runner import CellTask, ExperimentRunner
-from repro.market.constants import LARGE_BID, bid_grid
 from repro.market.queuing import QueueDelayModel
-from repro.market.spot_market import PriceOracle
-from repro.traces.library import DEFAULT_SEED, evaluation_window
-from repro.traces.model import SpotPriceTrace, ZoneTrace
+from repro.traces.library import DEFAULT_SEED
 
 #: The per-process runner, created by :func:`_init_worker`.
 _WORKER_RUNNER: ExperimentRunner | None = None
-#: The worker's attached arena segment, kept referenced so the mapping
-#: (which the runner's trace arrays are views into) stays alive for the
-#: life of the process.
-_WORKER_SHM = None
-
-
-@dataclass(frozen=True)
-class ArenaSpec:
-    """Picklable layout of a :class:`TraceArena` block.
-
-    Travels to the workers via the pool initargs; every array is
-    described as ``(key..., byte offset, length)`` into the named
-    shared-memory segment.
-    """
-
-    name: str
-    start_time: float
-    interval_s: int
-    eval_start: float
-    #: (zone, byte offset, num samples) — float64 price arrays.
-    zones: tuple
-    #: (zone, bucket, byte offset, num states) — float64 stationary vectors.
-    stationary: tuple
-    #: (zone, threshold, byte offset, num crossings) — int64 indices.
-    crossings: tuple
-
-
-class TraceArena:
-    """One shared-memory block holding a sweep's immutable inputs.
-
-    The parent side: :meth:`publish` lays the window's per-zone price
-    arrays, the per-``(zone, bucket)`` stationary vectors and the
-    per-``(zone, threshold)`` crossing indices into a single
-    ``multiprocessing.shared_memory`` segment and returns the arena
-    plus its picklable :class:`ArenaSpec`.  The worker side:
-    :func:`attach_arena` maps the segment and rebuilds zero-copy views.
-    The parent owns the segment — it unlinks on :meth:`destroy`;
-    workers only ever map it read-only-by-convention (every view is
-    marked unwriteable).
-    """
-
-    def __init__(self, shm, spec: ArenaSpec) -> None:
-        self._shm = shm
-        self.spec = spec
-
-    @classmethod
-    def publish(
-        cls,
-        trace: SpotPriceTrace,
-        eval_start: float,
-        thresholds: tuple = (),
-        warm_stationary: dict | None = None,
-    ) -> "TraceArena":
-        """Copy the sweep's shared inputs into a fresh segment."""
-        from multiprocessing import shared_memory
-
-        entries = []  # (category, key, array, byte offset)
-        offset = 0
-        def reserve(category, key, arr):
-            nonlocal offset
-            entries.append((category, key, arr, offset))
-            offset += arr.nbytes
-        for z in trace.zones:
-            reserve("zone", (z.zone,), np.ascontiguousarray(z.prices))
-        for z in trace.zones:
-            for theta in thresholds:
-                idx = np.ascontiguousarray(
-                    z.threshold_crossings(theta), dtype=np.int64
-                )
-                reserve("crossing", (z.zone, float(theta)), idx)
-        for (zone, bucket), v in (warm_stationary or {}).items():
-            reserve("stationary", (zone, bucket), np.ascontiguousarray(v))
-        shm = shared_memory.SharedMemory(create=True, size=max(offset, 1))
-        specs = {"zone": [], "crossing": [], "stationary": []}
-        for category, key, arr, off in entries:
-            dest = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf, offset=off)
-            dest[:] = arr
-            specs[category].append((*key, off, arr.size))
-        spec = ArenaSpec(
-            name=shm.name,
-            start_time=trace.start_time,
-            interval_s=trace.interval_s,
-            eval_start=eval_start,
-            zones=tuple(specs["zone"]),
-            stationary=tuple(specs["stationary"]),
-            crossings=tuple(specs["crossing"]),
-        )
-        return cls(shm, spec)
-
-    def destroy(self) -> None:
-        """Unmap and remove the segment (parent side, idempotent)."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - teardown race
-            pass
-        self._shm = None
-
-
-def attach_arena(spec: ArenaSpec):
-    """Map an arena in a worker: ``(shm, trace, eval_start, warm tables)``.
-
-    Every returned array is a read-only view into the segment — zone
-    prices, crossing indices and stationary vectors are never copied.
-    The worker must keep the returned ``shm`` object referenced for as
-    long as the views live.  Attaching normally registers the segment
-    with the process's resource tracker, but the *parent* owns (and
-    unlinks) it — tracker-side bookkeeping from the workers would
-    produce double-unlink noise at shutdown — so registration is
-    suppressed for the duration of the attach (the standard workaround
-    while CPython's tracker has no owner concept).
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    original_register = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        shm = shared_memory.SharedMemory(name=spec.name)
-    finally:
-        resource_tracker.register = original_register
-
-    def view(off, n, dtype):
-        arr = np.ndarray((n,), dtype=dtype, buffer=shm.buf, offset=off)
-        arr.setflags(write=False)
-        return arr
-
-    zones = tuple(
-        ZoneTrace(
-            zone=zone,
-            start_time=spec.start_time,
-            prices=view(off, n, np.float64),
-            interval_s=spec.interval_s,
-        )
-        for zone, off, n in spec.zones
-    )
-    trace = SpotPriceTrace(zones=zones)
-    for zone, theta, off, n in spec.crossings:
-        trace.zone(zone).seed_threshold_crossings(theta, view(off, n, np.int64))
-    warm = {
-        (zone, bucket): view(off, n, np.float64)
-        for zone, bucket, off, n in spec.stationary
-    }
-    return shm, trace, spec.eval_start, warm
 
 
 def _init_worker(
@@ -216,17 +65,13 @@ def _init_worker(
     engine_mode: str = "fast",
     audit: bool = False,
     audit_out: str | None = None,
-    arena: ArenaSpec | None = None,
     cache_dir: str | None = None,
 ) -> None:
     """Build this worker's trace + oracle once; all cells share them.
 
-    With an arena spec the trace is mapped zero-copy from the parent's
-    segment and the oracle is seeded with the pre-warmed stationary
-    tables; without one (or if attaching fails — e.g. the platform
-    lacks POSIX shared memory) the worker regenerates the window
-    locally, the original copy-on-write path.  Either way the arrays
-    are equal, so results are bit-identical.
+    The window comes from :func:`~repro.traces.library.evaluation_window`
+    (``lru_cache``d per process), exactly as a serial runner builds it,
+    so results are bit-identical to the in-process path.
 
     An audited pool gives each worker its own ``<audit_out>.w<pid>``
     JSONL file — concurrent appends to one shared file would interleave
@@ -239,23 +84,15 @@ def _init_worker(
 
     A ``cache_dir`` gives every worker a run cache over the *same*
     on-disk layer (entry writes are atomic, so concurrent workers are
-    safe); trace fingerprints hash content, not storage, so an
-    arena-mapped worker hits entries a locally-generated run stored
-    and vice versa.
+    safe).
     """
-    global _WORKER_RUNNER, _WORKER_SHM
+    global _WORKER_RUNNER
     if audit_out is not None:
         audit_out = f"{audit_out}.w{os.getpid()}"
         try:
             os.unlink(audit_out)  # pid reuse: never append to stale events
         except OSError:
             pass
-    trace = eval_start = warm = None
-    if arena is not None:
-        try:
-            _WORKER_SHM, trace, eval_start, warm = attach_arena(arena)
-        except Exception:
-            _WORKER_SHM = trace = eval_start = warm = None
     _WORKER_RUNNER = ExperimentRunner(
         window,
         num_experiments=num_experiments,
@@ -265,12 +102,8 @@ def _init_worker(
         engine_mode=engine_mode,
         audit=audit,
         audit_out=audit_out,
-        trace=trace,
-        eval_start=eval_start,
         cache_dir=cache_dir,
     )
-    if warm:
-        _WORKER_RUNNER.oracle.seed_stationary(warm)
 
 
 def _worker_extras() -> tuple[
@@ -341,13 +174,7 @@ class SweepExecutor:
     #: Shared on-disk run-cache directory handed to every worker
     #: (``None`` disables worker-side caching).
     cache_dir: str | None = None
-    #: Publish the window into a shared-memory :class:`TraceArena` at
-    #: pool start-up.  Off (or a failed publish) falls back to each
-    #: worker regenerating the window — results are identical; the
-    #: arena only removes redundant per-process work.
-    use_arena: bool = True
     _pool: ProcessPoolExecutor | None = field(default=None, repr=False)
-    _arena: "TraceArena | None" = field(default=None, repr=False)
     _audit_report: AuditReport = field(default_factory=AuditReport, repr=False)
     _cache_stats: CacheStats = field(default_factory=CacheStats, repr=False)
     _vector_stats: BatchStats = field(default_factory=BatchStats, repr=False)
@@ -358,31 +185,8 @@ class SweepExecutor:
         if self.audit_out is not None:
             self.audit = True
 
-    def _build_arena(self) -> "TraceArena | None":
-        """Publish the window + warm statistic tables; ``None`` on failure.
-
-        The pre-warmed tables cover the full evaluation span at the
-        production oracle's bucket grid: per-bucket stationary vectors
-        (one rolling-fitter walk in the parent replaces one
-        eigendecomposition sweep *per worker*) and crossing indices for
-        the bid grid plus the large-bid threshold (the fast engine's
-        segment-skipping lookups).
-        """
-        try:
-            trace, eval_start = evaluation_window(self.window, self.seed)
-            oracle = PriceOracle(trace)
-            warm = oracle.prewarm_stationary(eval_start, trace.end_time)
-            thresholds = tuple(float(b) for b in bid_grid()) + (LARGE_BID,)
-            return TraceArena.publish(
-                trace, eval_start, thresholds=thresholds, warm_stationary=warm
-            )
-        except Exception:
-            return None
-
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            if self.use_arena and self._arena is None:
-                self._arena = self._build_arena()
             self._pool = ProcessPoolExecutor(
                 max_workers=self.workers,
                 initializer=_init_worker,
@@ -394,7 +198,6 @@ class SweepExecutor:
                     self.engine_mode,
                     self.audit,
                     self.audit_out,
-                    self._arena.spec if self._arena is not None else None,
                     self.cache_dir,
                 ),
             )
@@ -519,10 +322,8 @@ class SweepExecutor:
         """
         if self.audit_out is None:
             return
-        from pathlib import Path
-
         main = Path(self.audit_out)
-        sidecars = sorted(main.parent.glob(main.name + ".w*"))
+        sidecars = sorted(main.parent.glob(glob.escape(main.name) + ".w*"))
         if not sidecars:
             return
         with main.open("a") as out:
@@ -534,15 +335,11 @@ class SweepExecutor:
                     continue
 
     def close(self) -> None:
-        """Shut the pool down, merge audit sidecars, release the arena
-        (idempotent)."""
+        """Shut the pool down and merge audit sidecars (idempotent)."""
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
             self._merge_audit_sidecars()
-        if self._arena is not None:
-            self._arena.destroy()
-            self._arena = None
 
     def __enter__(self) -> "SweepExecutor":
         return self

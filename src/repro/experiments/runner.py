@@ -128,12 +128,10 @@ class ExperimentRunner:
     trace, eval_start:
         Prebuilt evaluation window.  Defaults to
         :func:`~repro.traces.library.evaluation_window` on
-        ``window``/``seed``; sweep workers attached to a shared-memory
-        arena pass the mapped (zero-copy) trace instead so each process
-        skips regenerating the archive.  The arrays must equal the
-        generated window's — results are bit-identical either way.
-        An explicit trace requires ``workers=1``: pool workers rebuild
-        the window from ``window``/``seed``, not from this trace.
+        ``window``/``seed``; pass one to run on a trace built
+        elsewhere (a loaded or hand-made window).  An explicit trace
+        requires ``workers=1``: pool workers rebuild the window from
+        ``window``/``seed``, not from this trace.
     cache_dir, cache:
         Cross-run memoization (:mod:`repro.experiments.cache`).
         ``cache_dir`` adds a persistent on-disk layer so warm figure

@@ -74,9 +74,6 @@ class PriceOracle:
     #: each bucket's trailing window with one bincount and dedups
     #: chains by count signature.
     _fitters: dict = field(default_factory=dict, repr=False)
-    #: (zone, bucket) -> precomputed stationary vector, installed by
-    #: :meth:`seed_stationary` (the sweep pool's shared-memory arena).
-    _warm_stationary: dict = field(default_factory=dict, repr=False)
 
     # -- raw prices -------------------------------------------------------
 
@@ -215,46 +212,8 @@ class PriceOracle:
                     self.history(zone, anchor),
                     current_price=self.price(zone, t),
                 )
-            warm = self._warm_stationary.get(key)
-            if warm is not None:
-                model.seed_stationary(warm)
             self._markov_cache[key] = model
         return model
-
-    def seed_stationary(self, tables: dict) -> None:
-        """Adopt precomputed stationary vectors keyed ``(zone, bucket)``.
-
-        Sweep workers call this with the tables the parent published in
-        the shared-memory arena (:meth:`prewarm_stationary` on the
-        parent side): a bucket's chain then skips its
-        eigendecomposition entirely.  The vectors are pure functions of
-        ``(zone, bucket)`` — the bucket-anchored window fixes the chain
-        — so substituting the parent's result is exact.
-        """
-        self._warm_stationary.update(tables)
-
-    def prewarm_stationary(self, t0: float, t1: float) -> dict:
-        """Fit every ``(zone, bucket)`` chain over ``[t0, t1)`` and
-        return the stationary vectors keyed for :meth:`seed_stationary`.
-
-        Each bucket costs one bincount over per-zone level ids, and
-        chain dedup by count signature collapses calm stretches, so
-        prewarming a whole evaluation window costs well under a second
-        — paid once by the pool parent instead of once per worker.  Returns ``{}`` for a
-        reference oracle (``bucket_s=None``): per-decision refits have
-        no bucket grid to prewarm.
-        """
-        if self.bucket_s is None:
-            return {}
-        out: dict = {}
-        z0 = self.trace.start_time
-        lo = int(max(t0, z0) // self.bucket_s)
-        hi = int(min(t1, self.trace.end_time - SAMPLE_INTERVAL_S) // self.bucket_s)
-        for zone in self.zone_names:
-            for b in range(lo, hi + 1):
-                t = max(b * self.bucket_s, z0)
-                out[(zone, self._bucket(t))] = self.markov_model(zone, t).stationary()
-        return out
 
     def _model_at_level(self, zone: str, t: float) -> PriceMarkovModel:
         """The bucket model, re-conditioned on the current price level.

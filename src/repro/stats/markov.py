@@ -489,23 +489,6 @@ class PriceMarkovModel:
             object.__setattr__(self, "_stationary", v)
         return v
 
-    def seed_stationary(self, v: np.ndarray) -> None:
-        """Install a precomputed stationary vector for this chain.
-
-        The sweep pool's shared-memory arena ships the parent's
-        eigendecompositions to the workers so each process does not
-        redo them; the vector must be the one :meth:`stationary` would
-        compute (same chain, same arithmetic — which parent and worker
-        share, making the substitution exact).  A vector already
-        computed locally wins: seeding never overwrites.
-        """
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.num_states,):
-            raise MarkovError(
-                f"stationary vector shape {v.shape} != ({self.num_states},)"
-            )
-        self._chain_shared.setdefault("stationary", v)
-
     def availability(self, bid: float) -> float:
         """Asymptotic probability of being up at ``bid``.
 

@@ -199,19 +199,6 @@ class ZoneTrace:
             self._derived[key] = crossings
         return crossings
 
-    def seed_threshold_crossings(self, theta: float, crossings: np.ndarray) -> None:
-        """Install a precomputed crossing index for ``theta``.
-
-        Sweep workers mapping the shared-memory arena seed the parent's
-        cached indices instead of re-diffing a month of samples per
-        threshold; the array must equal what
-        :meth:`threshold_crossings` computes on this trace.  An index
-        already computed locally wins: seeding never overwrites.
-        """
-        crossings = np.asarray(crossings, dtype=np.int64)
-        crossings.setflags(write=False)
-        self._derived.setdefault(("crossings", float(theta)), crossings)
-
     def next_threshold_crossing(self, i: int, theta: float) -> int:
         """Smallest index > ``i`` where ``prices <= theta`` flips
         (``len(self)`` when the segment runs to the end of the trace)."""
@@ -231,8 +218,7 @@ class ZoneTrace:
         SHA-256 over (zone name, start time, sample interval, raw
         price bytes): any change to any field — a single price sample
         included — yields a different digest, while equal traces hash
-        equal regardless of how their arrays are stored (generated
-        locally or mapped from a sweep worker's shared-memory arena).
+        equal regardless of which process or path built their arrays.
         The run cache uses this as the trace component of its content
         addresses.  Memoized: a month-long window is hashed once per
         trace object.

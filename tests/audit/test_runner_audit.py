@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+from repro.app.workload import paper_experiment
 from repro.experiments.runner import ExperimentRunner
 
 from tests.conftest import small_config
@@ -61,21 +64,29 @@ class TestParallelAudit:
         assert report.ok
         assert report.counters.runs == 4
 
-    def test_workers_merge_per_process_jsonl(self, tmp_path):
+    @pytest.mark.parametrize("name", ["sweep.jsonl", "run[1].jsonl"])
+    def test_workers_merge_per_process_jsonl(self, tmp_path, name):
         """Per-worker sidecars exist while the pool lives and are merged
         into the main stream (and removed) when the runner closes, so
-        repeated sweeps cannot accumulate orphaned ``.w<pid>`` files."""
-        path = str(tmp_path / "sweep.jsonl")
+        repeated sweeps cannot accumulate orphaned ``.w<pid>`` files.
+        The sidecar match is literal: glob metacharacters in the name
+        select nothing else, and an unrelated look-alike survives."""
+        path = tmp_path / name
+        decoy = tmp_path / "run1.jsonl.w9"
+        decoy.write_text('{"kind": "decoy"}\n')
         with ExperimentRunner("low", num_experiments=4, workers=2,
-                              audit_out=path) as runner:
+                              audit_out=str(path)) as runner:
             _records(runner, small_config())
             report = runner.drain_audit()
-            assert sorted(tmp_path.glob("sweep.jsonl.w*"))
+            assert any(p.name.startswith(f"{name}.w")
+                       for p in tmp_path.iterdir())
         assert report.counters.runs == 4
-        assert not list(tmp_path.glob("sweep.jsonl.w*"))
+        assert sorted(tmp_path.iterdir()) == sorted([path, decoy])
+        assert decoy.read_text() == '{"kind": "decoy"}\n'
         run_ends = 0
-        for line in (tmp_path / "sweep.jsonl").read_text().splitlines():
+        for line in path.read_text().splitlines():
             event = json.loads(line)
+            assert event["kind"] != "decoy"
             if event["kind"] == "run-end":
                 run_ends += 1
         assert run_ends == 4
@@ -90,7 +101,7 @@ class TestParallelAudit:
         path = str(tmp_path / "sweep.jsonl")
         stale = tmp_path / f"sweep.jsonl.w{os.getpid()}"
         stale.write_text('{"kind": "stale-event"}\n')
-        saved_runner, saved_shm = parallel._WORKER_RUNNER, parallel._WORKER_SHM
+        saved_runner = parallel._WORKER_RUNNER
         try:
             from repro.market.queuing import QueueDelayModel
 
@@ -100,7 +111,19 @@ class TestParallelAudit:
             assert not stale.exists()
         finally:
             parallel._WORKER_RUNNER = saved_runner
-            parallel._WORKER_SHM = saved_shm
+
+    @pytest.mark.parametrize("engine_mode", ["fast", "tick"])
+    def test_adaptive_sweep_zero_violations(self, engine_mode):
+        """An audited 2-worker Adaptive sweep: every worker-side run is
+        checked and none violates an invariant."""
+        config = paper_experiment(slack_fraction=0.15, ckpt_cost_s=300.0)
+        with ExperimentRunner("low", num_experiments=4, workers=2,
+                              engine_mode=engine_mode, audit=True) as runner:
+            records = runner.run_adaptive(config)
+            report = runner.drain_audit()
+        assert records
+        assert report.counters.runs > 0
+        assert report.ok, f"workers reported violations: {report.violations}"
 
     def test_with_workers_propagates_audit_flags(self, tmp_path):
         path = str(tmp_path / "a.jsonl")

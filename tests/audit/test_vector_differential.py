@@ -1,7 +1,7 @@
 """Vector-vs-fast differential: the acceptance gate for the batch engine.
 
-One start axis — or a fused (bid x start) grid — runs through the
-struct-of-arrays engine and through per-run *audited* fast
+One start axis — or a fused (bid x start) grid, both one-shape cubes —
+runs through the struct-of-arrays engine and through per-run *audited* fast
 simulations; everything is diffed — RunResult fields (event logs ride
 along) and the vector log against the audited stream the invariant
 checker certified.  All five paper policies plus the Adaptive
@@ -23,8 +23,7 @@ from repro.audit.differential import (
     VectorDifferentialReport,
     diff_log_vs_audit_stream,
     vector_differential_adaptive,
-    vector_differential_grid,
-    vector_differential_run,
+    vector_differential_cube,
 )
 from repro.core.adaptive import AdaptiveController
 from repro.core.edge import RisingEdgePolicy
@@ -64,8 +63,8 @@ def test_vector_differential_identical(
     trace, eval_start = low_window if window_name == "low" else high_window
     zone = trace.zone_names[0]
     starts = [eval_start + k * 7200.0 for k in range(4)]
-    report = vector_differential_run(
-        trace, config, factory, bid, (zone,), starts
+    report = vector_differential_cube(
+        trace, [config], factory, [bid], (zone,), [starts]
     )
     assert report.ok, "\n".join(report.summary_lines())
     assert len(report.vector_results) == len(starts)
@@ -80,8 +79,8 @@ def test_vector_differential_over_bid_grid(low_window, config):
     starts = [eval_start, eval_start + 10800.0]
     for factory in (PeriodicPolicy, RisingEdgePolicy):
         for bid in (0.27, 0.35, 0.81, 2.40):
-            report = vector_differential_run(
-                trace, config, factory, bid, (zone,), starts
+            report = vector_differential_cube(
+                trace, [config], factory, [bid], (zone,), [starts]
             )
             assert report.ok, "\n".join(report.summary_lines())
 
@@ -96,8 +95,8 @@ def test_vector_differential_multi_zone(
     trace, eval_start = low_window if window_name == "low" else high_window
     zones = trace.zone_names[:3]
     starts = [eval_start, eval_start + 10800.0]
-    report = vector_differential_run(
-        trace, config, POLICY_FACTORIES[label], 0.40, zones, starts
+    report = vector_differential_cube(
+        trace, [config], POLICY_FACTORIES[label], [0.40], zones, [starts]
     )
     assert report.ok, "\n".join(report.summary_lines())
     assert all(r.zones == tuple(zones) for r in report.vector_results)
@@ -120,8 +119,8 @@ def test_vector_differential_fused_grid(
     zone = trace.zone_names[0]
     bids = [0.27, 0.35, 0.81]
     starts = [eval_start, eval_start + 14400.0]
-    report = vector_differential_grid(
-        trace, config, factory, bids, (zone,), starts
+    report = vector_differential_cube(
+        trace, [config], factory, bids, (zone,), [starts]
     )
     assert report.ok, "\n".join(report.summary_lines())
     assert len(report.vector_results) == len(bids) * len(starts)
@@ -131,9 +130,9 @@ def test_vector_differential_grid_multi_zone(low_window, config):
     """A fused tile over a merged two-zone cell."""
     trace, eval_start = low_window
     zones = trace.zone_names[:2]
-    report = vector_differential_grid(
-        trace, config, PeriodicPolicy, [0.27, 0.81], zones,
-        [eval_start, eval_start + 7200.0],
+    report = vector_differential_cube(
+        trace, [config], PeriodicPolicy, [0.27, 0.81], zones,
+        [[eval_start, eval_start + 7200.0]],
     )
     assert report.ok, "\n".join(report.summary_lines())
 
@@ -145,9 +144,9 @@ def test_vector_differential_grid_fractional_starts(low_window, config):
     clocks)."""
     trace, eval_start = low_window
     zone = trace.zone_names[0]
-    report = vector_differential_grid(
-        trace, config, MarkovDalyPolicy, [0.40, 0.81], (zone,),
-        [eval_start, eval_start + 150.5],
+    report = vector_differential_cube(
+        trace, [config], MarkovDalyPolicy, [0.40, 0.81], (zone,),
+        [[eval_start, eval_start + 150.5]],
     )
     assert report.ok, "\n".join(report.summary_lines())
 
@@ -157,9 +156,9 @@ def test_vector_differential_fractional_start_axis(low_window, config):
     audited-stream identical."""
     trace, eval_start = low_window
     zone = trace.zone_names[0]
-    report = vector_differential_run(
-        trace, config, PeriodicPolicy, 0.27, (zone,),
-        [eval_start + 0.5, eval_start + 150.5, eval_start + 7200.0],
+    report = vector_differential_cube(
+        trace, [config], PeriodicPolicy, [0.27], (zone,),
+        [[eval_start + 0.5, eval_start + 150.5, eval_start + 7200.0]],
     )
     assert report.ok, "\n".join(report.summary_lines())
 
@@ -174,10 +173,10 @@ def test_vector_differential_large_bid(
     trace, eval_start = low_window if window_name == "low" else high_window
     zone = trace.zone_names[0]
     starts = [eval_start + k * 7200.0 for k in range(3)]
-    report = vector_differential_run(
-        trace, config,
+    report = vector_differential_cube(
+        trace, [config],
         lambda: LargeBidPolicy(threshold),
-        LARGE_BID, (zone,), starts,
+        [LARGE_BID], (zone,), [starts],
     )
     assert report.ok, "\n".join(report.summary_lines())
 
@@ -226,9 +225,9 @@ def test_native_shapes_hold_on_random_traces(trace, bid, policy_label,
     """Hypothesis: every native shape (all four vector kinds, single-
     and two-zone cells) matches audited per-run fast simulation on
     random piecewise traces."""
-    report = vector_differential_run(
-        trace, small_config(), POLICY_FACTORIES[policy_label], bid,
-        ("za", "zb")[:num_zones], [0.0, 7200.0],
+    report = vector_differential_cube(
+        trace, [small_config()], POLICY_FACTORIES[policy_label], [bid],
+        ("za", "zb")[:num_zones], [[0.0, 7200.0]],
         queue_model=FixedQueueDelay(300.0),
     )
     assert report.ok, "\n".join(report.summary_lines())
@@ -244,9 +243,9 @@ def test_native_shapes_hold_on_random_traces(trace, bid, policy_label,
 def test_fused_grid_holds_on_random_traces(trace, policy_label, num_zones):
     """Hypothesis: fused (bid x start) tiles — clone plans included —
     match independent audited runs on random piecewise traces."""
-    report = vector_differential_grid(
-        trace, small_config(), POLICY_FACTORIES[policy_label],
-        [0.27, 0.5, 0.81], ("za", "zb")[:num_zones], [0.0, 3600.0],
+    report = vector_differential_cube(
+        trace, [small_config()], POLICY_FACTORIES[policy_label],
+        [0.27, 0.5, 0.81], ("za", "zb")[:num_zones], [[0.0, 3600.0]],
         queue_model=FixedQueueDelay(300.0),
     )
     assert report.ok, "\n".join(report.summary_lines())
@@ -281,8 +280,8 @@ def test_report_flags_divergence(low_window, config):
 
     trace, eval_start = low_window
     zone = trace.zone_names[0]
-    report = vector_differential_run(
-        trace, config, PeriodicPolicy, 0.27, (zone,), [eval_start]
+    report = vector_differential_cube(
+        trace, [config], PeriodicPolicy, [0.27], (zone,), [[eval_start]]
     )
     assert report.identical
     good = report.vector_results[0]
@@ -295,7 +294,7 @@ def test_report_flags_divergence(low_window, config):
     stream_diffs = diff_log_vs_audit_stream(
         good.events[:-1],
         [e for e in _audited_stream(report)],
-        where="start[0].event",
+        where="row[0].event",
     )
     assert any(d.field == "length" for d in stream_diffs)
     bad = VectorDifferentialReport(audit_stream_diffs=stream_diffs)

@@ -82,6 +82,23 @@ class TestExecutor:
         assert other.window == serial.window
         assert other.seed == serial.seed
 
+    def test_worker_init_builds_the_cached_window(self):
+        """A pool worker's runner holds the process's cached evaluation
+        window, exactly the trace a serial runner builds."""
+        from repro.experiments import parallel
+        from repro.market.queuing import QueueDelayModel
+        from repro.traces.library import DEFAULT_SEED, evaluation_window
+
+        saved = parallel._WORKER_RUNNER
+        try:
+            parallel._init_worker("low", 4, DEFAULT_SEED, QueueDelayModel())
+            runner = parallel._WORKER_RUNNER
+            trace, eval_start = evaluation_window("low", DEFAULT_SEED)
+            assert runner.trace is trace
+            assert runner.eval_start == eval_start
+        finally:
+            parallel._WORKER_RUNNER = saved
+
     def test_close_is_idempotent(self):
         runner = ExperimentRunner("low", num_experiments=5, workers=2)
         config = paper_experiment()

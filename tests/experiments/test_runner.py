@@ -106,6 +106,13 @@ class TestWorkerConfiguration:
                                trace=trace, eval_start=eval_start)
         assert one.trace is trace
 
+    def test_explicit_trace_requires_eval_start(self):
+        from repro.traces.library import evaluation_window
+
+        trace, _ = evaluation_window("low")
+        with pytest.raises(ValueError):
+            ExperimentRunner("low", num_experiments=4, trace=trace)
+
     def test_with_workers_keeps_trace_and_cache(self):
         from repro.experiments.cache import RunCache
         from repro.traces.library import evaluation_window

@@ -189,26 +189,3 @@ class TestIncrementalOracleDifferential:
         # into one chain object — same values either way
         inc = PriceOracle(trace, history_s=1200, bucket_s=None)
         assert np.array_equal(inc.markov_model("za", t).trans, m1.trans)
-
-    def test_warm_seed_does_not_change_answers(self):
-        from repro.traces.library import evaluation_window
-
-        trace, eval_start = evaluation_window("low")
-        donor = PriceOracle(trace)
-        warm = donor.prewarm_stationary(eval_start, eval_start + 48 * 3600.0)
-        assert warm  # something to seed
-        seeded = PriceOracle(trace)
-        seeded.seed_stationary(warm)
-        cold = PriceOracle(trace)
-        t = eval_start + 26 * 3600.0
-        for zone in trace.zone_names:
-            for got, want in zip(
-                seeded.zone_stats(zone, t), cold.zone_stats(zone, t)
-            ):
-                assert np.array_equal(got, want)
-
-    def test_prewarm_empty_for_unbucketed_oracle(self):
-        prices = [0.3, 0.3, 0.5, 0.3] * 40
-        trace = SpotPriceTrace.from_arrays(0.0, {"za": prices})
-        o = PriceOracle(trace, history_s=1200, bucket_s=None)
-        assert o.prewarm_stationary(0.0, 300.0 * 40) == {}

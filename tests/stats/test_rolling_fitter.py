@@ -186,33 +186,12 @@ def test_random_series_random_slides_bit_identical(seq, moves):
         )
 
 
-class TestSeedStationary:
-    def test_seed_is_used(self):
+class TestInitialCopies:
+    def test_stationary_shared_with_initial_copies(self):
         prices = np.array([0.3, 0.5, 0.3, 0.9, 0.3, 0.5] * 20)
         m = PriceMarkovModel.fit(prices)
-        expected = PriceMarkovModel.fit(prices).stationary()
-        m.seed_stationary(expected)
-        assert m.stationary() is not None
-        assert np.array_equal(m.stationary(), expected)
-
-    def test_local_result_wins_over_late_seed(self):
-        prices = np.array([0.3, 0.5, 0.3, 0.9, 0.3, 0.5] * 20)
-        m = PriceMarkovModel.fit(prices)
-        local = m.stationary()
-        bogus = np.full(m.num_states, 1.0 / m.num_states)
-        m.seed_stationary(bogus)
-        assert m.stationary() is local
-
-    def test_shape_mismatch_rejected(self):
-        prices = np.array([0.3, 0.5, 0.3, 0.9, 0.3, 0.5] * 20)
-        m = PriceMarkovModel.fit(prices)
-        with pytest.raises(MarkovError):
-            m.seed_stationary(np.ones(m.num_states + 1))
-
-    def test_seed_shared_with_initial_copies(self):
-        prices = np.array([0.3, 0.5, 0.3, 0.9, 0.3, 0.5] * 20)
-        m = PriceMarkovModel.fit(prices)
-        v = PriceMarkovModel.fit(prices).stationary()
-        m.seed_stationary(v)
         clone = m.with_initial(0.9)
-        assert np.array_equal(clone.stationary(), v)
+        assert clone is not m
+        v = clone.stationary()
+        assert m.stationary() is v  # one chain-scoped eigendecomposition
+        assert np.array_equal(v, PriceMarkovModel.fit(prices).stationary())

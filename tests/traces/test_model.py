@@ -281,31 +281,3 @@ class TestDerivedCacheIsolation:
             w.threshold_crossings(0.4),
             np.flatnonzero(np.diff(w.prices <= 0.4)) + 1,
         )
-
-
-class TestSeedThresholdCrossings:
-    def trace(self):
-        return ZoneTrace(zone="za", start_time=0.0,
-                         prices=np.array([0.3, 0.5, 0.3, 0.5, 0.3]),
-                         interval_s=300)
-
-    def test_seeded_index_is_served(self):
-        z = self.trace()
-        expected = np.flatnonzero(np.diff(z.prices <= 0.4)) + 1
-        z.seed_threshold_crossings(0.4, expected)
-        assert z.threshold_crossings(0.4) is not None
-        assert np.array_equal(z.threshold_crossings(0.4), expected)
-        assert z.next_threshold_crossing(0, 0.4) == int(expected[0])
-
-    def test_locally_computed_index_wins(self):
-        z = self.trace()
-        local = z.threshold_crossings(0.4)
-        z.seed_threshold_crossings(0.4, np.array([99], dtype=np.int64))
-        assert z.threshold_crossings(0.4) is local
-
-    def test_seeded_array_read_only(self):
-        z = self.trace()
-        idx = np.array([1, 2], dtype=np.int64)
-        z.seed_threshold_crossings(0.4, idx)
-        with pytest.raises(ValueError):
-            z.threshold_crossings(0.4)[0] = 5
