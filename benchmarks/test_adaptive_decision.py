@@ -19,6 +19,8 @@ from repro.market.instance import ZoneInstance
 from repro.market.spot_market import PriceOracle
 from repro.traces.library import evaluation_window
 
+from tests.conftest import FullEvaluation
+
 
 def _decision_setup(oracle=None):
     trace, eval_start = evaluation_window("high")
@@ -76,6 +78,7 @@ def test_best_candidate_warm_oracle(benchmark):
 
 # -- decision-sequence benchmark: BENCH_adaptive.json --------------------
 
+
 #: Eight hours of decision points at price-sample granularity — the
 #: cadence the Adaptive policy's re-evaluation triggers (price edges,
 #: terminations, hour boundaries) actually arrive at.
@@ -107,15 +110,17 @@ def _run_sequence(trace, eval_start, oracle, controller):
 
 
 def test_decision_sequence_speedup(benchmark):
-    """Incremental + pruned decisions vs the paper's literal protocol.
+    """Bucketed, incremental decisions vs the paper's literal protocol.
 
     The reference re-fits every zone's chain at every decision point
-    (``bucket_s=None``) and evaluates all 210 permutations exhaustively
-    (``prune=False``) — the configuration both kept in-repo as the
-    correctness baseline.  The production path buckets and rolls the
-    fits forward incrementally and lower-bounds the permutation loop.
-    The measured speedup lands in ``BENCH_adaptive.json`` (the
-    ``BENCH_engine.json`` pattern) and CI fails below 5x.
+    (``bucket_s=None``, ``incremental=False``), so each decision is its
+    own statistics bucket and rebuilds all 210 permutations' matrices
+    from fresh fits.  The production path buckets and rolls the fits
+    forward incrementally and, within a bucket, reprices only the
+    deadline-clock half of the estimator over matrices built at the
+    bucket's first decision.  The measured speedup lands in
+    ``BENCH_adaptive.json`` (the ``BENCH_engine.json`` pattern) and CI
+    fails below 5x.
     """
     import json
     import time
@@ -125,9 +130,7 @@ def test_decision_sequence_speedup(benchmark):
 
     def reference():
         oracle = PriceOracle(trace, bucket_s=None, incremental=False)
-        return _run_sequence(
-            trace, eval_start, oracle, AdaptiveController(prune=False)
-        )
+        return _run_sequence(trace, eval_start, oracle, AdaptiveController())
 
     def production():
         oracle = PriceOracle(trace)
@@ -143,12 +146,13 @@ def test_decision_sequence_speedup(benchmark):
     prod_results = benchmark.pedantic(production, rounds=3, iterations=1)
 
     # Correctness pin: against the *same* bucketed protocol, disabling
-    # both the incremental fitter and pruning must not change a single
-    # winner — the speedup comes from doing identical math less often.
+    # the incremental fitter and deciding with the exhaustive reference
+    # loop must not change a single winner — the speedup comes from
+    # doing identical math less often.
     check = _run_sequence(
         trace, eval_start,
         PriceOracle(trace, incremental=False),
-        AdaptiveController(prune=False),
+        FullEvaluation(),
     )
     assert prod_results == check
 

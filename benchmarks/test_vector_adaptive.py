@@ -1,23 +1,25 @@
-"""Adaptive-axis throughput — batched controller decisions.
+"""Adaptive-axis throughput — the vector engine's Adaptive columns.
 
 The Adaptive-heavy grid: the controller's full 15-bid candidate grid
 (x zone sets x policy kinds) evaluated at every decision epoch of
 ``REPRO_BENCH_GRID_STARTS`` overlapping starts.  The axis runs once as
 a per-run fast loop (one simulator and one fresh controller per start)
-and once through the vector engine, whose batched decision front end
-shares dense candidate surfaces and memoized selections across the
-whole axis.  The records must match bit for bit; the measured speedup
-lands in ``BENCH_vector_adaptive.json`` at the repo root and is gated
-at 3x by ``check_regression.py``.  (Large-bid's native columns are
-measured by the full-grid bench's Naive cell.)
+and once through the vector engine, which advances every start as a
+column in lockstep and calls each row's own controller only at that
+row's decision epochs.  Both engines make the same per-controller
+decisions — each controller builds its statistics bucket's decision
+matrices itself and nothing is shared between runs — so the ratio
+measures the vector engine's column stepping against the scalar loop.
+The records must match bit for bit; the measured speedup lands in
+``BENCH_vector_adaptive.json`` at the repo root and is gated at 3x by
+``check_regression.py``.  (Large-bid's native columns are measured by
+the full-grid bench's Naive cell.)
 
 Set ``REPRO_BENCH_GRID_STARTS`` (default 256) to rescale; the paper
-acceptance bar is 256.  Unlike the fused-grid ratio, this one is not
-scale-portable: cross-run surface sharing amortizes over the axis, so
-a 32-start smoke axis measures a real but much smaller ratio.  Below
-96 starts the floor therefore relaxes and the JSON is left untouched
-— the committed baseline always holds a full-scale measurement, and
-``check_regression.py`` never compares across scales.
+acceptance bar is 256.  Below 96 starts the floor relaxes and the JSON
+is left untouched — the committed baseline always holds a full-scale
+measurement, and ``check_regression.py`` never compares across
+scales.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ def _sweep(runner: ExperimentRunner, config) -> dict:
 
 
 def test_vector_speedup_adaptive_axis(benchmark):
-    """Batched controller decisions vs the per-run fast loop."""
+    """Vector-engine Adaptive columns vs the per-run fast loop."""
     n = grid_starts()
     config = paper_experiment(slack_fraction=0.15, ckpt_cost_s=300.0)
     fast = ExperimentRunner("low", num_experiments=n, seed=DEFAULT_SEED)
@@ -78,9 +80,9 @@ def test_vector_speedup_adaptive_axis(benchmark):
         "speedup": speedup,
     }
     if len(starts) >= 96:
-        # sub-scale smokes keep the committed full-scale baseline: the
-        # sharing ratio is scale-dependent, so a 32-start measurement
-        # must never become the file check_regression.py compares
+        # sub-scale smokes keep the committed full-scale baseline: a
+        # 32-start measurement must never become the file
+        # check_regression.py compares
         out = Path(__file__).resolve().parent.parent / "BENCH_vector_adaptive.json"
         out.write_text(json.dumps(payload, indent=2) + "\n")
     floor = 3.0 if len(starts) >= 96 else 1.4

@@ -7,16 +7,15 @@ per (policy, bid, start)) and once through a one-shape
 :meth:`ExperimentRunner.run_cube`, which advances each (policy,
 zone-set) cell's whole (bid x start) tile in lockstep: native columns
 for every policy kind (Naive/Large-bid included), bid-equivalence
-clones for the bid-invariant ones, and batched controller decisions
-for Adaptive.  The records must match bit for bit; the measured
-speedup lands in ``BENCH_vector_grid.json`` at the repo root and is
-gated at 4x by ``check_regression.py``.
+clones for the bid-invariant ones, and for Adaptive one column per
+start whose own controller is called at that row's decision epochs.
+The records must match bit for bit; the measured speedup lands in
+``BENCH_vector_grid.json`` at the repo root and is gated at 4x by
+``check_regression.py``.
 
 Set ``REPRO_BENCH_GRID_STARTS`` (default 256) to rescale; the paper
-acceptance bar is 256.  With the Adaptive cell in the mix the ratio
-is no longer scale-portable — batched decisions amortize their shared
-surfaces over the start axis — so below 96 starts the floor relaxes
-and the JSON is left untouched: the committed baseline always holds a
+acceptance bar is 256.  Below 96 starts the floor relaxes and the
+JSON is left untouched: the committed baseline always holds a
 full-scale measurement and ``check_regression.py`` never compares
 across scales.
 """
@@ -117,8 +116,7 @@ def test_vector_speedup_full_grid(benchmark):
         "speedup": speedup,
     }
     if len(starts) >= 96:
-        # sub-scale smokes keep the committed full-scale baseline: the
-        # Adaptive cell's sharing ratio is scale-dependent, so a
+        # sub-scale smokes keep the committed full-scale baseline: a
         # 32-start measurement must never become the file
         # check_regression.py compares
         out = Path(__file__).resolve().parent.parent / "BENCH_vector_grid.json"

@@ -433,11 +433,12 @@ def vector_differential_cube(
 ) -> VectorDifferentialReport:
     """Replay a fused (shape x bid x start) cube and diff it row by row.
 
-    Rows are laid out shape-major over per-shape (bid x start) tiles,
-    start-major within a tile — the layout
-    ``ExperimentRunner.run_cube_cell`` feeds the engine — with the
-    availability-equivalence clone plan resolved per (shape, start) so
-    clones never cross shapes.  The scalar side simulates *every* row
+    Rows and the availability-equivalence clone plan come from
+    :func:`~repro.core.bid_batch.cube_rows`, the layout
+    ``ExperimentRunner.run_cube_cell`` feeds the engine: shape-major
+    over per-shape (bid x start) tiles, start-major within a tile, with
+    clones resolved per (shape, start) so they never cross shapes.
+    The scalar side simulates *every* row
     independently through an audited fast engine at that row's own
     :class:`~repro.app.workload.ExperimentConfig` and bid: cloned rows
     are held to a full independent run at their own (bid, start), not
@@ -447,38 +448,15 @@ def vector_differential_cube(
     exactly what standalone runs at that shape produce.  A single
     start axis is the cube ``([config], [bid], [starts])``.
     """
-    from repro.core.bid_batch import bid_equivalence_classes
+    from repro.core.bid_batch import cube_rows
 
     configs = list(configs)
-    bids = [float(b) for b in bids]
     zones = tuple(zones)
-    nb = len(bids)
-    shape_idx: list[int] = []
-    row_bids: list[float] = []
-    row_starts: list[float] = []
-    row0: list[int] = []
-    for k, shape_starts in enumerate(starts_per_shape):
-        row0.append(len(row_bids))
-        for s in shape_starts:
-            for bid in bids:
-                shape_idx.append(k)
-                row_bids.append(bid)
-                row_starts.append(float(s))
-
-    clone_of = None
-    if nb > 1 and getattr(type(policy_factory()), "bid_invariant", False):
-        clone_of = [None] * len(row_bids)
-        bcol = {bid: j for j, bid in enumerate(bids)}
-        for k, shape_starts in enumerate(starts_per_shape):
-            for si, s in enumerate(shape_starts):
-                classes = bid_equivalence_classes(
-                    trace, zones, bids, float(s), configs[k].deadline_s
-                )
-                for cls in classes:
-                    rep_row = row0[k] + si * nb + bcol[cls.representative]
-                    for bid in cls.members:
-                        if bid != cls.representative:
-                            clone_of[row0[k] + si * nb + bcol[bid]] = rep_row
+    rows = cube_rows(
+        trace, zones, [float(b) for b in bids], starts_per_shape,
+        [cfg.deadline_s for cfg in configs], policy_factory,
+    )
+    shape_idx, row_bids, row_starts = rows.shape_idx, rows.bids, rows.starts
 
     def run_scalar(sim, i):
         return sim.run(
@@ -489,7 +467,7 @@ def vector_differential_cube(
     def run_vector(vec, rngs):
         return vec.run_cube(
             configs, policy_factory, zones, shape_idx, row_bids, row_starts,
-            rngs, clone_of=clone_of,
+            rngs, clone_of=rows.clone_of,
         )
 
     return _replay_and_diff(

@@ -32,10 +32,9 @@ remaining cost wins.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from repro.core.markov_daly import MarkovDalyPolicy
 from repro.core.periodic import PeriodicPolicy
 from repro.core.policy import CheckpointPolicy, PolicyContext
 from repro.market.constants import ON_DEMAND_PRICE, bid_grid
-from repro.market.instance import ZoneState
 from repro.stats.daly import (
     daly_interval,
     daly_interval_batch,
@@ -58,12 +56,11 @@ from repro.stats.daly import (
 #: "the same cost" and tie-break toward fewer zones, then lower bid.
 COST_EPS: float = 1e-9
 
-#: Safety margin for lower-bound pruning, orders of magnitude above
-#: both COST_EPS and the float rounding between a candidate's bound and
-#: its exact cost: a permutation is skipped only when its bound cannot
-#: come within this of the incumbent, so the pruned search provably
-#: evaluates every candidate that could win *or tie* under COST_EPS.
-PRUNE_MARGIN: float = 1e-6
+#: Width of the band above the cheapest predicted cost whose cells the
+#: selection's comparator loop visits; orders of magnitude above the
+#: worst drift of the loop's running best (``2 * 210 * COST_EPS``), so
+#: every cell that could win *or tie* under COST_EPS is visited.
+SELECT_MARGIN: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -88,252 +85,67 @@ def make_policy(kind: str) -> CheckpointPolicy:
     raise ValueError(f"unknown candidate policy kind {kind!r}")
 
 
-class _FrozenClock:
-    """A run view pinned to a recorded deadline clock.
-
-    Stands in for :class:`~repro.app.application.ApplicationRun` when a
-    deferred visit-one pruning pass is replayed at its original instant
-    (:meth:`SelectionMemo.replay_first_visit`): the cost estimators read
-    only these two quantities from the run.
-    """
-
-    __slots__ = ("_committed", "_remaining")
-
-    def __init__(self, committed: float, remaining: float) -> None:
-        self._committed = committed
-        self._remaining = remaining
-
-    def committed_progress_s(self) -> float:
-        return self._committed
-
-    def remaining_time_s(self, now: float) -> float:
-        return self._remaining
-
-
 class SelectionMemo:
-    """Cross-run decision sharing for a batch of Adaptive controllers.
+    """One controller's decision matrices for the current bucket.
 
-    Two layers, both exact:
-
-    **Shared dense surfaces.**  A bucket's fully-solved statistic
-    matrices are a pure function of (bucket, per-zone price levels at
-    the query instant): availability and charged rate are anchored at
-    the bucket boundary, and the expected-uptime solves condition only
-    on each zone's *current* price level.  The memo therefore builds
-    one dense surface per ``(bucket, levels)`` signature — with the
-    production :meth:`AdaptiveController._build_dense` code against
-    scratch caches — and serves every batch member's *first* visit to
-    that signature from it, instead of letting each run pay its own
-    pruned pass.  The pruned pass and the dense selection pick the same
-    winner by construction (the invariant the pruning differential
-    tests pin down), so the fan-out is winner-identical.
-
-    **Selection memo.**  :meth:`AdaptiveController._select_dense` is a
-    pure function of the matrices and the run's deadline clock
-    (committed progress P and remaining time T_r are the only per-run
-    inputs of :meth:`AdaptiveController._cost_from_rate`), so the
-    selection is paid once per (matrix fingerprint, P, T_r) signature
-    and the winning :class:`CandidateEstimate` (frozen, safely shared)
-    is fanned out to every run that shares it.
-
-    A scalar run's pruned pass has one per-controller side effect the
-    fast path must preserve: it fills the seed and surviving cells of
-    the controller's uptime rows at the *visit-one* price levels, and a
-    later :meth:`AdaptiveController._build_dense` in the same bucket
-    completes the remaining cells at the *then-current* levels — a
-    mixed matrix that depends on both instants.  The memo defers that
-    side effect: each served first visit records its clock, and the
-    fills are replayed bit-exactly (from the shared surface, at the
-    recorded clock) only when a second visit to the bucket actually
-    happens.  The fingerprint hashes the matrices' *content* plus the
-    candidate grid and cost-model constants, so controllers whose
-    oracle state diverged never collide.
+    Within a statistics bucket every zone's statistics are frozen at the
+    bucket's first decision (:meth:`AdaptiveController._zone_stats`), so
+    the (zone set x bid) availability, expected-uptime and spot-rate
+    matrices and the per-kind progress-rate grids are a function of the
+    bucket alone.  :meth:`first_visit` assembles them at a bucket's
+    first decision (a miss); :meth:`select` prices only the
+    deadline-clock half of the estimator over them at every decision (a
+    hit when an earlier decision built them).  A run's clock only moves
+    forward, so only the current bucket's matrices are kept.
     """
 
-    __slots__ = ("hits", "misses", "dense_builds", "_table", "_surfaces",
-                 "_plans")
-
-    _MISS = object()
+    __slots__ = ("hits", "misses", "bucket", "matrices")
 
     def __init__(self) -> None:
         self.hits = 0
         self.misses = 0
-        self.dense_builds = 0
-        self._table: dict = {}
-        self._surfaces: dict = {}
-        self._plans: dict = {}
+        self.clear()
 
-    def select(
-        self, controller: "AdaptiveController", ctx: PolicyContext, dense
-    ) -> CandidateEstimate | None:
-        key = (
-            dense[4],
-            ctx.run.committed_progress_s(),
-            ctx.run.remaining_time_s(ctx.now),
-        )
-        found = self._table.get(key, self._MISS)
-        if found is not self._MISS:
-            self.hits += 1
-            return found
-        est = controller._select_dense(ctx, dense)
-        self._table[key] = est
-        self.misses += 1
-        return est
-
-    # -- shared first-visit surfaces --------------------------------------
+    def clear(self) -> None:
+        """Forget the matrices (the counters keep counting)."""
+        self.bucket = None
+        #: (avail, uptime, rate, progress) — ``progress`` is the
+        #: (kind, zone set, bid) stack of progress-rate grids.
+        self.matrices = None
 
     def first_visit(
         self, controller: "AdaptiveController", ctx: PolicyContext, bucket
-    ) -> CandidateEstimate | None:
-        """Serve a bucket's first decision from the shared surface.
-
-        Winner-identical to the pruned pass the controller would have
-        run; the pass's uptime-row fills are deferred (see
-        :meth:`replay_first_visit`).
-        """
-        dense, zrows = self._surface(controller, ctx, bucket)
-        # The pruned pass would assemble these bucket-pure matrices
-        # first thing; hand the per-run cache the shared tuple.
-        controller._combined_cache[bucket] = (dense[0], dense[2])
-        controller._visit1_pending[bucket] = (
-            dense,
-            zrows,
-            ctx.run.committed_progress_s(),
-            ctx.run.remaining_time_s(ctx.now),
-        )
-        return self.select(controller, ctx, dense)
-
-    def _surface(
-        self, controller: "AdaptiveController", ctx: PolicyContext, bucket
-    ):
-        levels = tuple(
-            float(ctx.oracle.price(z, ctx.now)) for z in ctx.oracle.zone_names
-        )
-        # The job shape participates in the key: _build_dense's cost
-        # model reads (compute, checkpoint, restart) off ctx.config, so
-        # a memo shared across a deadline ladder (run_cube's shape
-        # rows) must never serve one shape's surface to another.  The
-        # deadline itself enters through select()'s remaining-time key.
-        key = (
-            bucket, levels,
-            float(ctx.config.compute_s),
-            float(ctx.config.ckpt_cost_s),
-            float(ctx.config.restart_cost_s),
-        )
-        entry = self._surfaces.get(key)
-        if entry is None:
-            # Build with the production _build_dense code against
-            # scratch caches, so the shared matrices are bit-identical
-            # to what any controller would build from cold right now —
-            # and the builder's own incremental cache state is left
-            # untouched.
-            saved = (
-                controller._cheap_cache,
-                controller._uptime_cache,
-                controller._combined_cache,
-                controller._dense_cache,
-            )
-            controller._cheap_cache = {}
-            controller._uptime_cache = {}
-            controller._combined_cache = {}
-            controller._dense_cache = {}
-            try:
-                dense = controller._build_dense(ctx, bucket)
-                zrows = {
-                    z: controller._uptime_cache[(z, bucket)]
-                    for zones in controller._zone_sets
-                    for z in zones
-                }
-            finally:
-                (
-                    controller._cheap_cache,
-                    controller._uptime_cache,
-                    controller._combined_cache,
-                    controller._dense_cache,
-                ) = saved
-            entry = (dense, zrows)
-            self._surfaces[key] = entry
-            self.dense_builds += 1
-        return entry
-
-    def replay_first_visit(
-        self, controller: "AdaptiveController", ctx: PolicyContext, bucket
     ) -> None:
-        """Apply a deferred visit-one pruning pass's uptime-row fills.
+        """Build the bucket's matrices."""
+        avail, uptime, rate = controller._stat_matrices(ctx)
+        progress = np.stack([
+            controller._progress_grid(ctx.config, kind, avail, uptime)
+            for kind in controller.policy_kinds
+        ])
+        self.bucket = bucket
+        self.matrices = (avail, uptime, rate, progress)
+        self.misses += 1
 
-        Re-derives the seed plan and the lower-bound survivors at the
-        recorded deadline clock (all inputs are pure: the shared
-        surface's matrices plus the clock) and copies exactly those
-        cells from the shared per-zone rows into the controller's own —
-        the state a scalar run would carry into its second-visit
-        :meth:`AdaptiveController._build_dense`.
-        """
-        pending = controller._visit1_pending.pop(bucket, None)
-        if pending is None:
-            return
-        dense, zrows, committed1, remaining1 = pending
-        avail, uptime, rate = dense[0], dense[1], dense[2]
-        sets = controller._zone_sets
-        nbids = len(controller.bids)
-        plan_key = (dense[4], committed1, remaining1)
-        plan = self._plans.get(plan_key)
-        if plan is None:
-            ctx1 = replace(ctx, run=_FrozenClock(committed1, remaining1))
-            bound = controller._cost_lower_bound(ctx1, avail, rate)
-            rep_cols = np.argmin(bound, axis=1)
-            best_row = int(np.argmin(bound)) // nbids
-            seed_plan = [
-                (si, np.arange(nbids) if si == best_row else rep_cols[si : si + 1])
-                for si in range(len(sets))
-            ]
-            seed_avail = np.concatenate([avail[si, c] for si, c in seed_plan])
-            seed_rate = np.concatenate([rate[si, c] for si, c in seed_plan])
-            seed_uptime = np.concatenate([uptime[si, c] for si, c in seed_plan])
-            incumbent = min(
-                float(
-                    controller._cost_grid(
-                        ctx1, kind, seed_avail, seed_uptime, seed_rate
-                    ).min()
-                )
-                for kind in controller.policy_kinds
-            )
-            cutoff = incumbent + PRUNE_MARGIN
-            plan = [
-                (si, np.union1d(cols, np.flatnonzero(bound[si] <= cutoff)))
-                for si, cols in seed_plan
-            ]
-            self._plans[plan_key] = plan
-        for si, cols in plan:
-            if cols.size == 0:
-                continue
-            for z in sets[si]:
-                row = controller._zone_uptime_row(ctx, z)
-                missing = cols[np.isnan(row[cols])]
-                if missing.size:
-                    row[missing] = zrows[z][missing]
-
-
-def batch_controllers(factory, n: int) -> list["AdaptiveController"]:
-    """``n`` per-run controllers sharing one :class:`SelectionMemo`.
-
-    The batched decision front end of the vector engine: each run keeps
-    a real controller (its statistic caches evolve exactly as a scalar
-    run's would, which is what the bit-exactness gate demands), while
-    the dense selection work is deduplicated across the batch through
-    the shared memo.  Non-adaptive controllers from ``factory`` are
-    returned unwired — the caller is expected to fall back.
-    """
-    controllers = [factory() for _ in range(n)]
-    memo = SelectionMemo()
-    for c in controllers:
-        if isinstance(c, AdaptiveController):
-            c.selection_memo = memo
-    return controllers
+    def select(
+        self, controller: "AdaptiveController", ctx: PolicyContext, hit: bool
+    ) -> CandidateEstimate | None:
+        """Price the run's deadline clock over the current matrices."""
+        if hit:
+            self.hits += 1
+        return controller._select_dense(ctx, self.matrices)
 
 
 @dataclass
 class AdaptiveController(Controller):
     """The paper's Adaptive scheme, as an engine controller.
+
+    Each decision prices all (zone set, bid, policy) permutations from
+    per-zone statistics frozen at the statistics bucket's first
+    decision: the bucket's matrices are built once
+    (:class:`SelectionMemo`) and every decision in the bucket reprices
+    only the deadline-clock half of the estimator over them.
+    :meth:`_best_candidate_full` is the exhaustive reference loop the
+    selection is held to.
 
     Parameters
     ----------
@@ -356,44 +168,15 @@ class AdaptiveController(Controller):
     max_zones: int = 3
     improvement_margin: float = 0.08
     reevaluate_every_s: float = 3600.0
-    #: Lower-bound pruning of the permutation loop.  ``False`` forces
-    #: the reference full-matrix evaluation; the two select the same
-    #: winner (the pruned path evaluates every candidate whose bound
-    #: reaches the incumbent within ``PRUNE_MARGIN``).
-    prune: bool = True
     _zone_sets: tuple[tuple[str, ...], ...] = ()
     _last_eval_at: float = -math.inf
     _applied: tuple[float, tuple[str, ...], str] | None = None
+    #: (zone, bucket) -> the zone's statistics, frozen at the run's
+    #: first query in that bucket.
     _stats_cache: dict = field(default_factory=dict, repr=False)
-    #: (zone, bucket) -> (availability, rate) rows — the solve-free
-    #: statistics the pruning pass ranks candidates with.
-    _cheap_cache: dict = field(default_factory=dict, repr=False)
-    #: (zone, bucket) -> per-bid expected-uptime row, NaN where the
-    #: absorbing solve has not been paid for yet.
-    _uptime_cache: dict = field(default_factory=dict, repr=False)
-    #: bucket -> assembled (availability, rate) matrices over the full
-    #: (zone set, bid) grid — within a bucket only the deadline-clock
-    #: part of the cost changes between decisions, so the combination
-    #: pass is paid once per bucket, not once per decision.
-    _combined_cache: dict = field(default_factory=dict, repr=False)
-    #: bucket -> fully-solved (avail, uptime, rate, {kind: progress})
-    #: matrices, built on a bucket's SECOND decision.  Dense decision
-    #: sequences then pay only the deadline-clock half of the cost
-    #: grid per decision, while one-shot buckets keep the
-    #: solve-sparing pruned pass.
-    _dense_cache: dict = field(default_factory=dict, repr=False)
-    _seen_buckets: set = field(default_factory=set, repr=False)
-    #: bucket -> (shared surface, per-zone rows, committed, remaining)
-    #: for first visits served off the batch memo's shared dense
-    #: surface: the visit's uptime-row fills are deferred and replayed
-    #: at this recorded clock if the bucket is ever visited again.
-    _visit1_pending: dict = field(default_factory=dict, repr=False)
-    #: Optional cross-run dense-selection memo (see
-    #: :class:`SelectionMemo`), installed by :func:`batch_controllers`
-    #: for vector batches.  Never part of the cache identity: it only
-    #: replays exact selection outcomes.
-    selection_memo: SelectionMemo | None = field(
-        default=None, repr=False, compare=False
+    #: The run's decision matrices for the current bucket.
+    selection_memo: SelectionMemo = field(
+        default_factory=SelectionMemo, repr=False, compare=False
     )
 
     #: The display name used in figures.
@@ -407,10 +190,8 @@ class AdaptiveController(Controller):
         self._zone_sets = tuple(sets)
         self._last_eval_at = -math.inf
         self._applied = None
-        self._combined_cache.clear()
-        self._dense_cache.clear()
-        self._seen_buckets.clear()
-        self._visit1_pending.clear()
+        self._stats_cache.clear()
+        self.selection_memo.clear()
 
     # -- controller hook -----------------------------------------------------
 
@@ -428,11 +209,13 @@ class AdaptiveController(Controller):
 
         Sound because :meth:`reset` rebuilds every piece of internal
         state from the oracle (which the cache key covers through the
-        trace fingerprint and oracle configuration), and the
-        per-bucket statistic caches only memoize pure functions of
-        (zone, bucket) — decisions after a reset are a deterministic
-        function of these parameters and the run's other hashed
-        inputs.
+        trace fingerprint and oracle configuration) and clears the
+        per-run statistic and matrix caches.  Those caches freeze each
+        (zone, bucket)'s statistics at the run's first query in the
+        bucket, so they depend on the run's own decision instants —
+        which is why they must not outlive a run.  Decisions after a
+        reset are a deterministic function of these parameters and the
+        run's other hashed inputs.
         """
         return {
             "name": self.name,
@@ -441,7 +224,6 @@ class AdaptiveController(Controller):
             "max_zones": self.max_zones,
             "improvement_margin": self.improvement_margin,
             "reevaluate_every_s": self.reevaluate_every_s,
-            "prune": self.prune,
         }
 
     def decide(self, ctx: PolicyContext) -> SwitchDecision | None:
@@ -468,7 +250,7 @@ class AdaptiveController(Controller):
         """The decision body, given that ``ctx.now`` is an epoch.
 
         ``decide()`` is exactly ``decision_due() and decide_at_epoch()``;
-        the split lets the batched front end share the epoch trigger
+        the split lets the vector engine evaluate the epoch trigger
         across a column of runs.
         """
         running = [z for z in ctx.zones if ctx.instances[z].is_running]
@@ -549,47 +331,6 @@ class AdaptiveController(Controller):
             cached = ctx.oracle.zone_stats(zone, ctx.now, self.bids)
             self._stats_cache[key] = cached
         return cached
-
-    def _zone_cheap(
-        self, ctx: PolicyContext, zone: str
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(availability, expected charged rate) rows — no uptime solves.
-
-        The solve-free share of :meth:`_zone_stats`, bit-identical to
-        its first two arrays; the pruning pass ranks every candidate
-        from these before paying for any absorbing-chain solve.
-        """
-        key = (zone, ctx.oracle.stats_bucket(ctx.now))
-        cached = self._cheap_cache.get(key)
-        if cached is None:
-            cached = ctx.oracle.zone_availability_rate(zone, ctx.now, self.bids)
-            self._cheap_cache[key] = cached
-        return cached
-
-    def _zone_uptime_row(self, ctx: PolicyContext, zone: str) -> np.ndarray:
-        """The zone's per-bid expected-uptime row, NaN where unsolved."""
-        key = (zone, ctx.oracle.stats_bucket(ctx.now))
-        row = self._uptime_cache.get(key)
-        if row is None:
-            row = np.full(len(self.bids), np.nan)
-            self._uptime_cache[key] = row
-        return row
-
-    def _fill_uptimes(
-        self, ctx: PolicyContext, zone: str, row: np.ndarray, idx: np.ndarray
-    ) -> None:
-        """Solve the still-NaN entries of ``row`` at bid indices ``idx``.
-
-        Solves route through the oracle's per-(zone, bucket, level)
-        model, whose per-up-state-count memo makes a masked subset now
-        plus the rest later cost exactly the same solves as one
-        full-grid call — and each value bit-identical to
-        :meth:`_zone_stats`'s third array.
-        """
-        missing = idx[np.isnan(row[idx])]
-        if missing.size:
-            bids = np.asarray(self.bids, dtype=np.float64)[missing]
-            row[missing] = ctx.oracle.zone_uptimes(zone, ctx.now, bids)
 
     def estimate(
         self,
@@ -780,28 +521,27 @@ class AdaptiveController(Controller):
     def best_candidate(self, ctx: PolicyContext) -> CandidateEstimate | None:
         """Evaluate every permutation; return the cheapest.
 
-        Per zone set, the combined availability, combined expected up
-        time and spot rate are reduced across the whole bid grid, and
-        :meth:`_cost_grid` prices all bids of a (zone set, policy) pair
-        in one vector pass — bit-equal to the scalar estimator, so only
-        float comparisons remain in the permutation loop.  The winning
-        candidate alone is materialized through
-        :meth:`_estimate_from_combined`.  Ties break toward fewer
-        zones, then lower bid — the cheaper configuration to be wrong
-        about.
-
-        With :attr:`prune` on (the default) the permutation loop is
-        lower-bounded instead of exhaustive — same winner, fewer
-        absorbing-chain solves (see :meth:`_best_candidate_pruned`).
+        The bucket's (zone set x bid) matrices are built at its first
+        decision (:meth:`SelectionMemo.first_visit`) and every decision
+        prices all bids, zone sets and policy kinds in one stacked pass
+        over them (:meth:`SelectionMemo.select`).  Ties break toward
+        fewer zones, then lower bid — the cheaper configuration to be
+        wrong about.  Winner-identical to :meth:`_best_candidate_full`.
         """
         if not self._zone_sets:
             return None
-        if self.prune:
-            return self._best_candidate_pruned(ctx)
-        return self._best_candidate_full(ctx)
+        memo = self.selection_memo
+        bucket = ctx.oracle.stats_bucket(ctx.now)
+        hit = memo.bucket == bucket
+        if not hit:
+            memo.first_visit(self, ctx, bucket)
+        return memo.select(self, ctx, hit)
 
-    def _best_candidate_full(self, ctx: PolicyContext) -> CandidateEstimate | None:
-        """The reference exhaustive evaluation of every permutation."""
+    def _stat_matrices(
+        self, ctx: PolicyContext
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Combined availability, expected up time and spot rate per
+        (zone set, bid) cell, reduced over each set's zones."""
         sets = self._zone_sets
         nbids = len(self.bids)
         avail = np.empty((len(sets), nbids))
@@ -819,8 +559,18 @@ class AdaptiveController(Controller):
             avail[si] = 1.0 - one_minus
             uptime[si] = combined_uptime
             rate[si] = spot_rate
-        # One (zone sets x bids) cost matrix per policy kind, then a
-        # pure-float selection loop in the original iteration order.
+        return avail, uptime, rate
+
+    def _best_candidate_full(self, ctx: PolicyContext) -> CandidateEstimate | None:
+        """The reference exhaustive evaluation of every permutation.
+
+        :meth:`_cost_grid` prices all bids of a (zone set, policy) pair
+        in one vector pass — bit-equal to the scalar estimator — and a
+        pure-float loop visits every permutation in (zone set, bid,
+        kind) order with the tie-breaking comparator.
+        """
+        sets = self._zone_sets
+        avail, uptime, rate = self._stat_matrices(ctx)
         costs = [
             self._cost_grid(ctx, kind, avail, uptime, rate).tolist()
             for kind in self.policy_kinds
@@ -849,285 +599,13 @@ class AdaptiveController(Controller):
             spot_rate=float(rate[si, i]),
         )
 
-    def _cost_lower_bound(
-        self, ctx: PolicyContext, avail: np.ndarray, rate: np.ndarray
-    ) -> np.ndarray:
-        """A cost no policy can beat, per (zone set, bid) cell.
-
-        Any checkpoint policy's useful-work fraction lies in [0, 1], so
-        the cell's progress rate lies in [0, avail] — and within each
-        branch of the cost estimator the predicted cost is monotone in
-        the progress rate.  The minimum over the whole interval is
-        therefore attained at ``r = 0``, ``r = avail`` or the
-        spot-phase branch boundary ``r = C_r / budget``; evaluating the
-        estimator's exact formulas at those three rates bounds every
-        (policy, useful-fraction) outcome from below, using only the
-        solve-free availability and rate statistics.
-        """
-        config = ctx.config
-        committed = ctx.run.committed_progress_s()
-        remaining_compute = max(config.compute_s - committed, 0.0)
-        remaining_time = max(ctx.run.remaining_time_s(ctx.now), 0.0)
-        overhead = config.ckpt_cost_s + config.restart_cost_s
-
-        if remaining_compute <= 0:
-            return np.zeros_like(avail)
-        budget = remaining_time - overhead
-        if budget <= 0:
-            od_hours = (remaining_compute + config.restart_cost_s) / 3600.0
-            return np.full(avail.shape, od_hours * ON_DEMAND_PRICE)
-
-        def cost_at(progress: np.ndarray) -> np.ndarray:
-            on_spot = (progress * budget >= remaining_compute) & (progress > 0)
-            runaway = ~on_spot & (progress >= 1.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                spot_if_done = remaining_compute / progress
-            spot_guard = np.maximum(
-                (remaining_time - remaining_compute - overhead)
-                / np.maximum(1.0 - progress, COST_EPS),
-                0.0,
-            )
-            spot_s = np.where(
-                on_spot, spot_if_done,
-                np.where(runaway, remaining_compute, spot_guard),
-            )
-            od_s = np.where(
-                on_spot | runaway,
-                0.0,
-                remaining_compute - progress * spot_guard + config.restart_cost_s,
-            )
-            return (
-                spot_s / 3600.0 * rate
-                + np.maximum(od_s, 0.0) / 3600.0 * ON_DEMAND_PRICE
-            )
-
-        bound = np.minimum(cost_at(avail), cost_at(np.zeros_like(avail)))
-        # Branch-boundary rate: the run just finishes on spot, so the
-        # spot phase is the whole budget at the cell's expected rate.
-        return np.minimum(bound, budget / 3600.0 * rate)
-
-    def _best_candidate_pruned(
-        self, ctx: PolicyContext
-    ) -> CandidateEstimate | None:
-        """The permutation loop with lower-bound pruning.
-
-        The solve-free (availability, rate) statistics price a lower
-        bound for every (zone set, bid) cell; each zone-set row's
-        smallest-bound cell is evaluated exactly (one small batch) to
-        seed the incumbent, and one global pass drops every cell whose
-        bound cannot come within :data:`PRUNE_MARGIN` of that seed.  Expected-uptime
-        solves are paid lazily for exactly the surviving bids, and the
-        survivors are priced in ONE :meth:`_cost_grid` call per policy
-        kind — the cost arithmetic is element-wise, so batching across
-        zone-set rows changes nothing.  The seed is an exact achievable
-        cost, so every pruned cell's true cost exceeds the winner's by
-        more than the margin — which itself exceeds the worst
-        accumulated tie-break drift (``2 * 210 * COST_EPS``) — and the
-        selection loop runs in the full loop's evaluation order with
-        its comparator, so the winner is identical to
-        :meth:`_best_candidate_full`'s — the property the pruning
-        differential tests pin down.
-
-        From a bucket's second decision on, the remaining solves are
-        completed once (:meth:`_build_dense`) and every further
-        decision in the bucket reprices only the deadline-clock half
-        of the estimator over cached matrices — same cost values, same
-        winner, no per-decision bounding overhead.
-        """
-        sets = self._zone_sets
-        nbids = len(self.bids)
-        bucket = ctx.oracle.stats_bucket(ctx.now)
-        dense = self._dense_cache.get(bucket)
-        if dense is None and bucket in self._seen_buckets:
-            # Second decision in this bucket: the statistics are warm
-            # and further decisions will keep landing here, so finish
-            # the few solves pruning spared once and drop to the dense
-            # path for the rest of the bucket.
-            if self.selection_memo is not None:
-                # A batched first visit deferred its uptime-row fills;
-                # replay them at the recorded clock first, so the mixed
-                # matrix below is the one a scalar run would build.
-                self.selection_memo.replay_first_visit(self, ctx, bucket)
-            dense = self._build_dense(ctx, bucket)
-        self._seen_buckets.add(bucket)
-        if dense is not None:
-            if self.selection_memo is not None:
-                return self.selection_memo.select(self, ctx, dense)
-            return self._select_dense(ctx, dense)
-        if self.selection_memo is not None:
-            # Batched first visit: winner-identical selection off the
-            # batch's shared pure surface for this (bucket, price
-            # levels) signature; the pruned pass's per-run cache fills
-            # are deferred until a second visit needs them.
-            return self.selection_memo.first_visit(self, ctx, bucket)
-
-        avail, rate = self._combined_cheap(ctx, bucket)
-        bound = self._cost_lower_bound(ctx, avail, rate)
-
-        def combined_uptime_at(si: int, cols: np.ndarray) -> np.ndarray:
-            zones = sets[si]
-            uptime_rows = [self._zone_uptime_row(ctx, z) for z in zones]
-            for z, urow in zip(zones, uptime_rows):
-                self._fill_uptimes(ctx, z, urow, cols)
-            combined = uptime_rows[0][cols]
-            for urow in uptime_rows[1:]:
-                combined = combined + urow[cols]
-            return combined
-
-        # Seed the incumbent from one exact batch: the full row holding
-        # the globally smallest bound plus each other row's
-        # smallest-bound cell.  The full row costs solves the final
-        # pass would pay anyway (its cells rarely prune), and the
-        # representatives give every row a chance to tighten the
-        # cutoff before any other solve is paid.
-        rep_cols = np.argmin(bound, axis=1)
-        best_row = int(np.argmin(bound)) // nbids
-        seed_plan = [
-            (si, np.arange(nbids) if si == best_row else rep_cols[si : si + 1])
-            for si in range(len(sets))
-        ]
-        seed_avail = np.concatenate([avail[si, c] for si, c in seed_plan])
-        seed_rate = np.concatenate([rate[si, c] for si, c in seed_plan])
-        seed_uptime = np.concatenate(
-            [combined_uptime_at(si, c) for si, c in seed_plan]
-        )
-        incumbent = min(
-            float(
-                self._cost_grid(
-                    ctx, kind, seed_avail, seed_uptime, seed_rate
-                ).min()
-            )
-            for kind in self.policy_kinds
-        )
-        cutoff = incumbent + PRUNE_MARGIN
-
-        surviving: list[tuple[int, np.ndarray]] = []
-        cat_avail: list[np.ndarray] = []
-        cat_uptime: list[np.ndarray] = []
-        cat_rate: list[np.ndarray] = []
-        for si in range(len(sets)):
-            cols = np.flatnonzero(bound[si] <= cutoff)
-            if cols.size == 0:
-                continue  # the whole (zone set, *) row cannot win
-            surviving.append((si, cols))
-            cat_avail.append(avail[si, cols])
-            cat_uptime.append(combined_uptime_at(si, cols))
-            cat_rate.append(rate[si, cols])
-        all_avail = np.concatenate(cat_avail)
-        all_uptime = np.concatenate(cat_uptime)
-        all_rate = np.concatenate(cat_rate)
-        costs = [
-            self._cost_grid(ctx, kind, all_avail, all_uptime, all_rate).tolist()
-            for kind in self.policy_kinds
-        ]
-
-        best: tuple[float, int, float] | None = None  # (cost, |zones|, bid)
-        winner: tuple[int, str, int] | None = None
-        winner_pos = -1
-        pos = 0
-        for si, cols in surviving:
-            nz = len(sets[si])
-            for ci, i in enumerate(cols.tolist()):
-                bid = self.bids[i]
-                for kind, row in zip(self.policy_kinds, costs):
-                    cost = row[pos + ci]
-                    if best is None or cost < best[0] - COST_EPS or (
-                        abs(cost - best[0]) <= COST_EPS
-                        and (nz, bid) < (best[1], best[2])
-                    ):
-                        best = (cost, nz, bid)
-                        winner = (si, kind, i)
-                        winner_pos = pos + ci
-            pos += cols.size
-        if winner is None:
-            return None
-        si, kind, i = winner
-        return self._estimate_from_combined(
-            ctx, float(self.bids[i]), sets[si], kind,
-            combined_avail=float(all_avail[winner_pos]),
-            combined_uptime=float(all_uptime[winner_pos]),
-            spot_rate=float(all_rate[winner_pos]),
-        )
-
-    def _combined_cheap(
-        self, ctx: PolicyContext, bucket: float
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-bucket (availability, spot rate) over the candidate grid."""
-        cached = self._combined_cache.get(bucket)
-        if cached is None:
-            sets = self._zone_sets
-            avail = np.empty((len(sets), len(self.bids)))
-            rate = np.empty((len(sets), len(self.bids)))
-            for si, zones in enumerate(sets):
-                cheap = [self._zone_cheap(ctx, z) for z in zones]
-                one_minus = 1.0 - cheap[0][0]
-                spot_rate = cheap[0][0] * cheap[0][1]
-                for a, r in cheap[1:]:
-                    one_minus = one_minus * (1.0 - a)
-                    spot_rate = spot_rate + a * r
-                avail[si] = 1.0 - one_minus
-                rate[si] = spot_rate
-            cached = (avail, rate)
-            self._combined_cache[bucket] = cached
-        return cached
-
-    def _build_dense(self, ctx: PolicyContext, bucket: float):
-        """Complete the bucket's statistic matrices for the dense path.
-
-        Solves every still-missing uptime cell (reusing whatever the
-        pruned pass already paid for) and precomputes the per-kind
-        progress-rate grids, so each later decision in the bucket only
-        reprices the deadline-clock half of the estimator.
-        """
-        sets = self._zone_sets
-        avail, rate = self._combined_cheap(ctx, bucket)
-        all_cols = np.arange(len(self.bids))
-        uptime = np.empty((len(sets), len(self.bids)))
-        for si, zones in enumerate(sets):
-            uptime_rows = [self._zone_uptime_row(ctx, z) for z in zones]
-            for z, urow in zip(zones, uptime_rows):
-                self._fill_uptimes(ctx, z, urow, all_cols)
-            combined = uptime_rows[0][all_cols]
-            for urow in uptime_rows[1:]:
-                combined = combined + urow[all_cols]
-            uptime[si] = combined
-        progress = {
-            kind: self._progress_grid(ctx.config, kind, avail, uptime)
-            for kind in self.policy_kinds
-        }
-        # Content fingerprint for the cross-run selection memo: the
-        # matrices plus every other input of the selection that is not
-        # part of the per-run deadline clock (candidate grid, iteration
-        # order, cost-model constants).
-        h = hashlib.sha1()
-        h.update(
-            repr(
-                (
-                    self.bids,
-                    self.policy_kinds,
-                    self._zone_sets,
-                    ctx.config.compute_s,
-                    ctx.config.ckpt_cost_s,
-                    ctx.config.restart_cost_s,
-                )
-            ).encode()
-        )
-        h.update(avail.tobytes())
-        h.update(uptime.tobytes())
-        h.update(rate.tobytes())
-        for kind in self.policy_kinds:
-            h.update(progress[kind].tobytes())
-        dense = (avail, uptime, rate, progress, h.hexdigest())
-        self._dense_cache[bucket] = dense
-        return dense
-
     def _select_dense(self, ctx: PolicyContext, dense) -> CandidateEstimate | None:
         """:meth:`_best_candidate_full`'s selection over cached matrices.
 
         The costs of every kind are priced in one stacked
         :meth:`_cost_from_rate` call (element-wise arithmetic, so the
         stacking changes no value), and the comparator loop visits only
-        cells within :data:`PRUNE_MARGIN` of the global minimum — the
+        cells within :data:`SELECT_MARGIN` of the global minimum — the
         comparator can accept a cell only when its cost is within
         ``COST_EPS`` of the running best, and the running best never
         drifts more than the accumulated tie-break bound (``2 * 210 *
@@ -1137,15 +615,14 @@ class AdaptiveController(Controller):
         and its exact comparator.
         """
         sets = self._zone_sets
-        avail, uptime, rate, progress = dense[0], dense[1], dense[2], dense[3]
-        stacked = np.stack([progress[kind] for kind in self.policy_kinds])
-        costs = self._cost_from_rate(ctx, stacked, rate)
+        avail, uptime, rate, progress = dense
+        costs = self._cost_from_rate(ctx, progress, rate)
         # (kind, set, bid) -> (set, bid, kind) so the flat index order
         # matches the full loop's iteration order.
         flat = costs.transpose(1, 2, 0).ravel()
         if flat.size == 0:
             return None
-        cand = np.flatnonzero(flat <= flat.min() + PRUNE_MARGIN)
+        cand = np.flatnonzero(flat <= flat.min() + SELECT_MARGIN)
         nbids = len(self.bids)
         nkinds = len(self.policy_kinds)
         best: tuple[float, int, float] | None = None  # (cost, |zones|, bid)

@@ -16,18 +16,20 @@ per zone: the window's prices are sorted once and each bid's pattern
 is reduced to its ``searchsorted`` count of samples at or below the
 bid.  For bids sorted ascending, equal counts mean no sample lies
 between the two bids, which is exactly pattern equality — so the
-classes are contiguous runs of equal count signatures.  The runner's
-cube cells (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`)
-turn them into the vector engine's clone plan: one representative row
+classes are contiguous runs of equal count signatures.
+:func:`cube_rows` lays out a (shape x bid x start) cube's rows and turns
+the classes into the vector engine's clone plan: one representative row
 per (class, shape, start) simulates and the other members are cloned
-with only the bid rewritten.
+with only the bid rewritten.  The runner's cube cells
+(:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`) and the
+differential harness share it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -97,3 +99,73 @@ def bid_equivalence_classes(
         )
         lo = j
     return classes
+
+
+@dataclass(frozen=True)
+class CubeRows:
+    """Row layout of a (shape x bid x start) cube and its clone plan.
+
+    Rows run shape-major, then start, then bid: row :meth:`row`
+    ``(k, si, bj)`` simulates start ``si`` of shape ``k`` at bid ``bj``.
+    ``clone_of[row]`` is the representative row a cloned row copies
+    (``None``: the row simulates); ``clone_of`` is ``None`` when no row
+    clones.
+    """
+
+    shape_idx: list[int]
+    bids: list[float]
+    starts: list[float]
+    clone_of: list[int | None] | None
+    row0: list[int]
+    num_bids: int
+
+    def row(self, k: int, si: int, bj: int) -> int:
+        return self.row0[k] + si * self.num_bids + bj
+
+
+def cube_rows(
+    trace: SpotPriceTrace,
+    zones: Sequence[str],
+    bids: Sequence[float],
+    starts_per_shape: Sequence[Sequence[float]],
+    deadlines: Sequence[float],
+    policy_factory: Callable[[], object] | None = None,
+) -> CubeRows:
+    """Lay out a cube's rows and resolve its clone plan.
+
+    Cloning needs more than one bid and a bid-invariant policy from
+    ``policy_factory`` (``None``: a controller-driven cube, which never
+    clones); the classes are then resolved per (shape, start) over
+    ``zones`` and the shape's deadline, so clones never cross shapes.
+    """
+    nb = len(bids)
+    shape_idx: list[int] = []
+    row_bids: list[float] = []
+    row_starts: list[float] = []
+    row0: list[int] = []
+    for k, shape_starts in enumerate(starts_per_shape):
+        row0.append(len(row_starts))
+        for start in shape_starts:
+            for bid in bids:
+                shape_idx.append(k)
+                row_bids.append(bid)
+                row_starts.append(float(start))
+    clone_of = None
+    if (
+        nb > 1
+        and policy_factory is not None
+        and getattr(policy_factory(), "bid_invariant", False)
+    ):
+        bcol = {bid: j for j, bid in enumerate(bids)}
+        clone_of = [None] * len(row_bids)
+        for k, shape_starts in enumerate(starts_per_shape):
+            for si, start in enumerate(shape_starts):
+                base = row0[k] + si * nb
+                for cls in bid_equivalence_classes(
+                    trace, zones, bids, float(start), deadlines[k]
+                ):
+                    rep_row = base + bcol[cls.representative]
+                    for bid in cls.members:
+                        if bid != cls.representative:
+                            clone_of[base + bcol[bid]] = rep_row
+    return CubeRows(shape_idx, row_bids, row_starts, clone_of, row0, nb)

@@ -59,14 +59,13 @@ per-row column in every batch, and under a controller the rest of the
 plan (bid, active-zone mask, re-plan clock) is too, with zone blocks
 over every oracle zone the controller may switch onto.  A
 decision-epoch hook detects the controller's rules column-wise, and
-triggered rows share one :class:`~repro.core.adaptive.SelectionMemo`
-so the dense candidate selection is paid once per (bucket matrices,
-deadline clock) signature and fanned out.  Anything else — unknown
-policies, non-adaptive controllers, run-time dynamics — automatically
-falls back to a per-run scalar fast engine sharing the same RNG stream
-and run cache, so callers never need to know which path served them; the
-:attr:`VectorSimulator.stats` counters say which one did (fallback
-reasons come from the closed :data:`FALLBACK_REASONS` enum).
+only triggered rows call their own controller's decision.  Anything
+else — unknown policies, non-adaptive controllers, run-time dynamics —
+automatically falls back to a per-run scalar fast engine sharing the
+same RNG stream and run cache, so callers never need to know which path
+served them; the :attr:`VectorSimulator.stats` counters say which one
+did (fallback reasons come from the closed :data:`FALLBACK_REASONS`
+enum).
 """
 
 from __future__ import annotations
@@ -357,9 +356,9 @@ class VectorSimulator:
         hard-code); any other controller falls back to per-run scalar
         fast simulation under :data:`FALLBACK_CONTROLLER`.
 
-        As in :meth:`run_cube`, the deadline ladder shares the round loop, the crossing caches and — through the
-        shared :class:`~repro.core.adaptive.SelectionMemo`, whose keys
-        carry the job shape — the dense candidate selections.
+        As in :meth:`run_cube`, the deadline ladder shares the round
+        loop and the crossing caches; every row keeps its own
+        controller, built by ``controller_factory``.
         """
         from repro.core.adaptive import AdaptiveController
         from repro.core.periodic import PeriodicPolicy
@@ -553,14 +552,9 @@ class VectorSimulator:
         diverged onto different plans.  Decision epochs (rules 1–3 of
         :meth:`AdaptiveController.decision_due`) are detected
         column-wise; only triggered rows pay a Python
-        :meth:`AdaptiveController.decide_at_epoch` call against a
-        column-snapshot context, and all the batch's controllers share
-        one :class:`~repro.core.adaptive.SelectionMemo` (via
-        :func:`~repro.core.adaptive.batch_controllers`) so the dense
-        candidate selection runs once per (bucket matrices, progress,
-        deadline clock) signature and fans out.  Each row's decision
-        contexts carry its own :class:`ExperimentConfig`, so the memo
-        keys its selections per shape.
+        :meth:`AdaptiveController.decide_at_epoch` call on its own
+        controller against a column-snapshot context carrying the row's
+        own :class:`ExperimentConfig`.
         """
         oracle = self.oracle
         dt = float(SAMPLE_INTERVAL_S)
@@ -706,14 +700,13 @@ class VectorSimulator:
         # and the rule-3 re-evaluation clock
         zact = None
         if ctrl:
-            from repro.core.adaptive import batch_controllers
             from repro.core.policy import PolicyContext
 
             zact = np.zeros((Z, n), dtype=bool)
             for z in zones:
                 zact[zidx[z]] = True
             last_eval = np.full(n, -np.inf)
-            controllers = batch_controllers(controller_factory, n)
+            controllers = [controller_factory() for _ in range(n)]
             reeval = np.array(
                 [float(c.reevaluate_every_s) for c in controllers]
             )

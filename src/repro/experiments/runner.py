@@ -35,7 +35,7 @@ import numpy as np
 
 from repro.app.workload import ExperimentConfig
 from repro.core.adaptive import AdaptiveController
-from repro.core.bid_batch import bid_equivalence_classes
+from repro.core.bid_batch import cube_rows
 from repro.core.edge import RisingEdgePolicy
 from repro.core.engine import SpotSimulator
 from repro.core.large_bid import LargeBidPolicy
@@ -446,14 +446,14 @@ class ExperimentRunner:
         """One contiguous start-chunk of a (shape x bid x start) cube,
         advanced through the vector engine in one lockstep pass.
 
-        Rows are laid out shape-major, then start, then bid; each row
-        gets the fresh per-start RNG a per-(bid, start) :meth:`run_cell`
-        would build, and one RNG serves every zone wave of a merged
-        single-zone or Large-bid cell, in the serial draw order.  For
-        bid-invariant policies the availability-equivalence classes of
-        :mod:`repro.core.bid_batch` are resolved per (shape, start):
-        one representative row simulates per class and the engine
-        clones the rest, so clones never cross shapes.  Large-bid cells
+        Rows and the clone plan come from
+        :func:`~repro.core.bid_batch.cube_rows` (shape-major, then
+        start, then bid; for bid-invariant policies one representative
+        row per availability-equivalence class simulates and the engine
+        clones the rest, never across shapes); each row gets the fresh
+        per-start RNG a per-(bid, start) :meth:`run_cell` would build,
+        and one RNG serves every zone wave of a merged single-zone or
+        Large-bid cell, in the serial draw order.  Large-bid cells
         run at ``LARGE_BID`` and Adaptive cells go through
         :meth:`~repro.core.vector_engine.VectorSimulator.run_adaptive_cube`;
         both take a bid axis of length 1, and every record keeps its
@@ -477,54 +477,38 @@ class ExperimentRunner:
                        else partial(LargeBidPolicy, task.threshold))
             waves = [(factory().name, (zone,)) for zone in task.zones]
         elif kind == "adaptive":
-            waves = [("adaptive", None)]
+            factory = None  # controller-driven: never clones
+            waves = [("adaptive", ())]
         else:
             raise ValueError(
                 f"cube batching is undefined for cell kind {kind!r}"
             )
         configs = list(configs)
         bids = list(bids)
-        nb = len(bids)
-        if kind in ("large-bid", "adaptive") and nb != 1:
-            raise ValueError(f"a {kind} cell takes exactly one bid, got {nb}")
-        shape_idx: list[int] = []
-        row_bids: list[float] = []
-        row_starts: list[float] = []
-        row0: list[int] = []  # first row of each shape's tile
-        for k, shape_starts in enumerate(starts_per_shape):
-            row0.append(len(row_starts))
-            for start in shape_starts:
-                for bid in bids:
-                    shape_idx.append(k)
-                    row_bids.append(LARGE_BID if kind == "large-bid" else bid)
-                    row_starts.append(float(start))
-        rngs = [self._start_rng(start) for start in row_starts]
+        if kind in ("large-bid", "adaptive") and len(bids) != 1:
+            raise ValueError(
+                f"a {kind} cell takes exactly one bid, got {len(bids)}"
+            )
+        rows = cube_rows(
+            self.trace,
+            tuple(z for _, zones in waves for z in zones),
+            [LARGE_BID] if kind == "large-bid" else bids,
+            starts_per_shape,
+            [cfg.deadline_s for cfg in configs],
+            factory,
+        )
+        rngs = [self._start_rng(start) for start in rows.starts]
         vec = self.vector
         if kind == "adaptive":
             per_wave = [vec.run_adaptive_cube(
                 configs, task.controller_factory or AdaptiveController,
-                shape_idx, row_starts, rngs,
+                rows.shape_idx, rows.starts, rngs,
             )]
         else:
-            clone_of = None
-            if nb > 1 and factory().bid_invariant:
-                cell_zones = tuple(z for _, zones in waves for z in zones)
-                bcol = {bid: j for j, bid in enumerate(bids)}
-                clone_of = [None] * len(row_bids)
-                for k, shape_starts in enumerate(starts_per_shape):
-                    for si, start in enumerate(shape_starts):
-                        base = row0[k] + si * nb
-                        for cls in bid_equivalence_classes(
-                            self.trace, cell_zones, bids, float(start),
-                            configs[k].deadline_s,
-                        ):
-                            rep_row = base + bcol[cls.representative]
-                            for bid in cls.members:
-                                if bid != cls.representative:
-                                    clone_of[base + bcol[bid]] = rep_row
             per_wave = [
-                vec.run_cube(configs, factory, zones, shape_idx, row_bids,
-                             row_starts, rngs, clone_of=clone_of)
+                vec.run_cube(configs, factory, zones, rows.shape_idx,
+                             rows.bids, rows.starts, rngs,
+                             clone_of=rows.clone_of)
                 for _, zones in waves
             ]
         out: list[list[tuple[float, list[RunRecord]]]] = []
@@ -533,7 +517,7 @@ class ExperimentRunner:
             for bj, bid in enumerate(bids):
                 records = []
                 for si, start in enumerate(shape_starts):
-                    row = row0[k] + si * nb + bj
+                    row = rows.row(k, si, bj)
                     for (label, _), results in zip(waves, per_wave):
                         records.append(self._record(
                             label, configs[k], results[row].bid,

@@ -275,33 +275,6 @@ class PriceOracle:
             self._zone_stats_cache[key] = cached
         return cached
 
-    def zone_availability_rate(
-        self, zone: str, t: float, bids: Sequence[float] | np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The cheap two-thirds of :meth:`zone_stats`.
-
-        Availability and expected charged rate need only the bucket
-        chain's stationary vector — no absorbing solves — so Adaptive's
-        pruning pass can rank candidates from these alone and pay for
-        uptime solves (:meth:`zone_uptimes`) only where the lower bound
-        says a candidate might win.  Same arrays, bit for bit, as
-        :meth:`zone_stats`'s first two.
-        """
-        bids_arr = np.asarray(
-            bid_grid() if bids is None else bids, dtype=np.float64
-        )
-        key = ("ar", zone, self._bucket(t), bids_arr.tobytes())
-        cached = self._zone_stats_cache.get(key)
-        if cached is None:
-            model = self.markov_model(zone, t)
-            avail = model.availability_batch(bids_arr)
-            rate = model.expected_price_given_up_batch(bids_arr)
-            for arr in (avail, rate):
-                arr.setflags(write=False)
-            cached = (avail, rate)
-            self._zone_stats_cache[key] = cached
-        return cached
-
     def zone_uptimes(
         self, zone: str, t: float, bids: Sequence[float] | np.ndarray
     ) -> np.ndarray:

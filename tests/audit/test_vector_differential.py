@@ -200,8 +200,8 @@ def test_vector_differential_adaptive(
 
 
 def test_vector_differential_adaptive_custom_bid_grid(low_window, config):
-    """A narrowed candidate bid grid exercises different survivor sets
-    in the batched pruned pass; the contract holds regardless."""
+    """A narrowed candidate bid grid changes the shape of every
+    controller's decision matrices; the contract holds regardless."""
     trace, eval_start = low_window
     starts = [eval_start, eval_start + 10800.0]
     report = vector_differential_adaptive(

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.app.workload import ExperimentConfig
+from repro.core.adaptive import AdaptiveController
 from repro.core.engine import SpotSimulator
 from repro.market.queuing import FixedQueueDelay
 from repro.market.spot_market import PriceOracle
@@ -83,6 +84,13 @@ def small_config(
         ckpt_cost_s=ckpt_cost_s,
         restart_cost_s=ckpt_cost_s,
     )
+
+
+class FullEvaluation(AdaptiveController):
+    """An Adaptive controller that decides with the exhaustive reference loop."""
+
+    def best_candidate(self, ctx):
+        return self._best_candidate_full(ctx) if self._zone_sets else None
 
 
 @pytest.fixture(scope="session")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.app.application import ApplicationRun
@@ -11,10 +10,15 @@ from repro.core.adaptive import AdaptiveController, make_policy
 from repro.core.markov_daly import MarkovDalyPolicy
 from repro.core.periodic import PeriodicPolicy
 from repro.core.policy import PolicyContext
-from repro.market.instance import ZoneInstance, ZoneState
+from repro.market.instance import ZoneInstance
 from repro.market.spot_market import PriceOracle
 
-from tests.conftest import make_sim, multi_step_trace, small_config
+from tests.conftest import (
+    FullEvaluation,
+    make_sim,
+    multi_step_trace,
+    small_config,
+)
 
 
 def make_ctx(trace, now=None, bid=0.47, zones=None, config=None):
@@ -150,22 +154,32 @@ class TestEndToEnd:
         assert switches, "controller never configured the run"
 
 
-class TestPruning:
-    """The lower-bounded permutation loop must pick the full loop's winner."""
+def ctx_at(trace, oracle, config, start, now):
+    run = ApplicationRun(config=config, start_time=start,
+                         store=CheckpointStore())
+    instances = {z: ZoneInstance(zone=z) for z in trace.zone_names}
+    return PolicyContext(now=now, bid=0.47, zones=trace.zone_names[:1],
+                         oracle=oracle, config=config, run=run,
+                         instances=instances)
 
-    def same_winner(self, ctx):
-        pruned = AdaptiveController(prune=True)
-        full = AdaptiveController(prune=False)
-        pruned.reset(ctx)
-        full.reset(ctx)
-        a = pruned.best_candidate(ctx)
-        b = full.best_candidate(ctx)
-        assert a == b
-        return a
+
+def assert_matches_full(ctrl, ctx):
+    """Production ``best_candidate`` picks the exhaustive loop's winner."""
+    got = ctrl.best_candidate(ctx)
+    assert got == ctrl._best_candidate_full(ctx)
+    return got
+
+
+class TestPruning:
+    """The SELECT_MARGIN band of the comparator must keep the full
+    loop's winner."""
 
     def test_synthetic_market(self):
         trace = market_trace()
-        self.same_winner(make_ctx(trace))
+        ctx = make_ctx(trace)
+        ctrl = AdaptiveController()
+        ctrl.reset(ctx)
+        assert_matches_full(ctrl, ctx)
 
     @pytest.mark.parametrize("window", ["low", "high"])
     def test_evaluation_windows_across_decision_times(self, window):
@@ -178,21 +192,83 @@ class TestPruning:
                 ctx = make_ctx(
                     trace, now=eval_start + hours * 3600.0, config=config
                 )
-                self.same_winner(ctx)
+                ctrl = AdaptiveController()
+                ctrl.reset(ctx)
+                assert_matches_full(ctrl, ctx)
 
-    def test_pruned_skips_uptime_solves(self):
-        """Pruning must actually avoid work, not just agree on winners."""
+
+class TestBatchedFrontEnd:
+    """The per-bucket selection memo must be invisible in the decisions.
+
+    A bucket's first decision builds its matrices (a miss) and every
+    later decision in the bucket is priced over them (a hit); each must
+    return the winner of the exhaustive loop at the same epoch.
+    """
+
+    @pytest.mark.parametrize("window", ["low", "high"])
+    def test_winner_identity_at_every_epoch(self, window):
         from repro.traces.library import evaluation_window
 
-        trace, eval_start = evaluation_window("low")
-        ctx = make_ctx(trace, now=eval_start + 24 * 3600.0)
-        ctrl = AdaptiveController(prune=True)
-        ctrl.reset(ctx)
-        ctrl.best_candidate(ctx)
-        rows = list(ctrl._uptime_cache.values())
-        assert rows, "pruned path never touched the uptime cache"
-        unsolved = sum(int(np.isnan(row).sum()) for row in rows)
-        assert unsolved > 0, "pruning paid for every absorbing solve anyway"
+        trace, eval_start = evaluation_window(window)
+        oracle = PriceOracle(trace)
+        # Staggered deadline clocks queried at shared absolute epochs;
+        # offsets 0 and 0.5 h (and 2 h and 2.5 h) share an hourly
+        # bucket, so the second decision of each pair is served from
+        # the matrices the first one built.
+        offsets = [0.0, 1800.0, 7200.0, 9000.0, 7 * 3600.0, 25 * 3600.0,
+                   73 * 3600.0, 140 * 3600.0]
+        buckets = {oracle.stats_bucket(eval_start + off) for off in offsets}
+        for slack in (0.15, 0.5, 1.0):
+            config = small_config(compute_h=12.0, slack_fraction=slack)
+            for k in range(3):
+                start = eval_start - k * 900.0
+                ctrl = AdaptiveController()
+                ctrl.reset(ctx_at(trace, oracle, config, start, eval_start))
+                for off in offsets:
+                    assert_matches_full(
+                        ctrl,
+                        ctx_at(trace, oracle, config, start, eval_start + off),
+                    )
+                memo = ctrl.selection_memo
+                assert memo.misses == len(buckets)
+                assert memo.hits == len(offsets) - len(buckets)
+
+
+class TestWholeRuns:
+    """Whole runs through the experiment runner's Adaptive cells."""
+
+    def test_production_run_equals_full_evaluation_run(self):
+        from repro.app.workload import paper_experiment
+        from repro.experiments.runner import CellTask, ExperimentRunner
+
+        runner = ExperimentRunner("high", num_experiments=80, seed=1)
+        config = paper_experiment(slack_fraction=0.5, ckpt_cost_s=300.0)
+        start = 1357030800.0
+        got = runner.run_cell(CellTask(kind="adaptive", config=config), start)
+        want = runner.run_cell(
+            CellTask(kind="adaptive", config=config,
+                     controller_factory=FullEvaluation),
+            start,
+        )
+        assert got == want
+        assert got[0].cost == pytest.approx(26.20)
+
+    def test_reused_controller_matches_fresh_ones(self):
+        """reset() must drop every statistic and matrix the previous
+        run froze, so one controller over overlapping starts decides
+        exactly like a fresh controller per start."""
+        from repro.app.workload import paper_experiment
+        from repro.experiments.runner import CellTask, ExperimentRunner
+
+        runner = ExperimentRunner("high", num_experiments=80, seed=1)
+        config = paper_experiment(slack_fraction=0.5, ckpt_cost_s=300.0)
+        shared = AdaptiveController()
+        reused = CellTask(kind="adaptive", config=config,
+                          controller_factory=lambda: shared)
+        fresh = CellTask(kind="adaptive", config=config)
+        for start in runner.starts(config)[:4]:
+            start = float(start)
+            assert runner.run_cell(reused, start) == runner.run_cell(fresh, start)
 
 
 class TestTieBreak:
@@ -210,13 +286,13 @@ class TestTieBreak:
                              oracle=PriceOracle(trace), config=config, run=run,
                              instances=instances)
 
-    @pytest.mark.parametrize("prune", [True, False])
-    def test_exact_tie_takes_fewest_zones_then_lowest_bid(self, prune):
+    @pytest.mark.parametrize("full", [True, False])
+    def test_exact_tie_takes_fewest_zones_then_lowest_bid(self, full):
         trace = market_trace()
         ctx = self.expired_budget_ctx(trace)
-        ctrl = AdaptiveController(prune=prune)
+        ctrl = FullEvaluation() if full else AdaptiveController()
         ctrl.reset(ctx)
-        best = ctrl.best_candidate(ctx)
+        best = assert_matches_full(ctrl, ctx)
         assert len(best.zones) == 1
         assert best.bid == min(ctrl.bids)
         assert best.policy_kind == ctrl.policy_kinds[0]
@@ -225,70 +301,4 @@ class TestTieBreak:
         from repro.core import adaptive
 
         assert adaptive.COST_EPS == 1e-9
-        assert adaptive.PRUNE_MARGIN > 2 * 210 * adaptive.COST_EPS
-
-
-class TestBatchedFrontEnd:
-    """The shared selection memo must be invisible in the decisions.
-
-    ``batch_controllers`` wires one :class:`SelectionMemo` across a
-    batch; every ``best_candidate`` it serves — first bucket visits off
-    the shared dense surface, repeat visits through the replayed
-    visit-1 fills, memoized selections — must return the estimate an
-    unwired controller computes from scratch at the same epoch.
-    """
-
-    def ctx_at(self, trace, config, start, now):
-        run = ApplicationRun(config=config, start_time=start,
-                             store=CheckpointStore())
-        instances = {z: ZoneInstance(zone=z) for z in trace.zone_names}
-        return PolicyContext(now=now, bid=0.47, zones=trace.zone_names[:1],
-                             oracle=PriceOracle(trace), config=config,
-                             run=run, instances=instances)
-
-    @pytest.mark.parametrize("window", ["low", "high"])
-    def test_winner_identity_at_every_epoch(self, window):
-        from repro.core.adaptive import batch_controllers
-        from repro.traces.library import evaluation_window
-
-        trace, eval_start = evaluation_window(window)
-        config = small_config(compute_h=12.0, slack_fraction=0.5)
-        # Three runs with staggered deadline clocks, queried at shared
-        # absolute epochs: same (bucket, price-level) surfaces across
-        # the batch, distinct selection keys per run.  Offsets 0 and
-        # 0.5h revisit the same hourly bucket, forcing the deferred
-        # visit-1 replay; later epochs hit fresh buckets.
-        starts = [eval_start - k * 900.0 for k in range(3)]
-        offsets = [0.0, 1800.0, 7200.0, 9000.0, 25 * 3600.0, 73 * 3600.0]
-        batched = batch_controllers(AdaptiveController, len(starts))
-        memo = batched[0].selection_memo
-        assert memo is not None and memo is batched[-1].selection_memo
-        plain = [AdaptiveController() for _ in starts]
-        for b, p, s in zip(batched, plain, starts):
-            ctx0 = self.ctx_at(trace, config, s, eval_start)
-            b.reset(ctx0)
-            p.reset(ctx0)
-        for off in offsets:
-            for b, p, s in zip(batched, plain, starts):
-                ctx = self.ctx_at(trace, config, s, eval_start + off)
-                assert b.best_candidate(ctx) == p.best_candidate(ctx)
-        # The memo must have actually shared work, not just agreed:
-        # first visits reuse surfaces across the batch, so far fewer
-        # dense builds than (controller, bucket) pairs were paid.
-        buckets = len({int((eval_start + off) // 3600.0) for off in offsets})
-        assert memo.dense_builds < len(starts) * buckets
-        assert memo.dense_builds >= buckets
-        assert memo.hits + memo.misses > 0
-
-    def test_non_adaptive_factory_controllers_left_unwired(self):
-        from repro.core.adaptive import batch_controllers
-        from repro.core.engine import Controller
-
-        class OtherController(Controller):
-            def decide(self, ctx):
-                return None
-
-        controllers = batch_controllers(OtherController, 2)
-        assert all(type(c) is OtherController for c in controllers)
-        assert all(getattr(c, "selection_memo", None) is None
-                   for c in controllers)
+        assert adaptive.SELECT_MARGIN > 2 * 210 * adaptive.COST_EPS

@@ -8,8 +8,6 @@ import pytest
 from repro.market.spot_market import PriceOracle
 from repro.traces.model import SpotPriceTrace
 
-from tests.conftest import multi_step_trace
-
 
 def oracle_with(prices_a, prices_b=None):
     arrays = {"za": prices_a}
@@ -166,10 +164,7 @@ class TestIncrementalOracleDifferential:
         o = PriceOracle(trace)
         t = eval_start + 26 * 3600.0
         for zone in trace.zone_names:
-            a, r, u = o.zone_stats(zone, t)
-            a2, r2 = o.zone_availability_rate(zone, t)
-            assert np.array_equal(a, a2)
-            assert np.array_equal(r, r2)
+            u = o.zone_stats(zone, t)[2]
             assert np.array_equal(u, o.zone_uptimes(zone, t, bid_grid()))
             # arbitrary subset: same solves, same values
             subset = bid_grid()[3:7]
