@@ -8,8 +8,6 @@ the paper's design implicitly assumes the full grid matters.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.app.workload import paper_experiment
 from repro.core.adaptive import AdaptiveController
 from repro.experiments.metrics import box, deadline_violations

@@ -12,7 +12,6 @@ diagrams as ASCII timelines, asserting their narrative beats.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.app.workload import ExperimentConfig
 from repro.core.edge import RisingEdgePolicy

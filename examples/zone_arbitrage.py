@@ -19,8 +19,6 @@ Usage::
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.experiments import figures, reporting
 from repro.market.constants import bid_grid
 from repro.stats.availability import availability_report

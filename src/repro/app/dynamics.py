@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Sequence
 
 
 @dataclass(frozen=True)

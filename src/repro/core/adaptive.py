@@ -92,11 +92,18 @@ class SelectionMemo:
     bucket's first decision (:meth:`AdaptiveController._zone_stats`), so
     the (zone set x bid) availability, expected-uptime and spot-rate
     matrices and the per-kind progress-rate grids are a function of the
-    bucket alone.  :meth:`first_visit` assembles them at a bucket's
-    first decision (a miss); :meth:`select` prices only the
-    deadline-clock half of the estimator over them at every decision (a
-    hit when an earlier decision built them).  A run's clock only moves
-    forward, so only the current bucket's matrices are kept.
+    bucket alone.  :meth:`first_visit` fetches them at a bucket's first
+    decision (a miss) from the oracle's
+    :meth:`~repro.market.spot_market.PriceOracle.zone_set_stats`, which
+    builds them once per (bucket, per-zone price levels, bids, zone
+    sets) for every controller on the oracle, and seeds the
+    controller's ``_stats_cache`` with the zones' statistics, so
+    :meth:`AdaptiveController.estimate` sees the same frozen values.
+    The progress grids are built once per such key and checkpoint cost.
+    :meth:`select` prices only the deadline-clock half of the estimator
+    over the matrices at every decision (a hit when an earlier decision
+    fetched them).  A run's clock only moves forward, so only the
+    current bucket's matrices are kept.
     """
 
     __slots__ = ("hits", "misses", "bucket", "matrices")
@@ -109,21 +116,38 @@ class SelectionMemo:
     def clear(self) -> None:
         """Forget the matrices (the counters keep counting)."""
         self.bucket = None
-        #: (avail, uptime, rate, progress) — ``progress`` is the
-        #: (kind, zone set, bid) stack of progress-rate grids.
+        #: (avail, uptime, rate, progress, progress parts) — ``rate``
+        #: has a unit kind axis, ``progress`` is the (zone set, bid,
+        #: kind) stack of progress-rate grids and ``progress parts``
+        #: its :meth:`AdaptiveController._rate_parts`.
         self.matrices = None
 
     def first_visit(
         self, controller: "AdaptiveController", ctx: PolicyContext, bucket
     ) -> None:
-        """Build the bucket's matrices."""
-        avail, uptime, rate = controller._stat_matrices(ctx)
-        progress = np.stack([
-            controller._progress_grid(ctx.config, kind, avail, uptime)
-            for kind in controller.policy_kinds
-        ])
+        """Fetch the bucket's matrices and freeze its zone statistics."""
+        stats = ctx.oracle.zone_set_stats(
+            controller._zone_sets, ctx.now, controller.bids
+        )
+        frozen = controller._stats_cache
+        shared = True
+        for zone, zone_stats in stats.zones.items():
+            shared &= frozen.setdefault((zone, bucket), zone_stats) is zone_stats
+        config = ctx.config
+        if shared:
+            avail, uptime, rate = stats.avail, stats.uptime, stats.rate
+            key = (config.ckpt_cost_s, controller.policy_kinds)
+            progress = stats.derived.get(key)
+            if progress is None:
+                progress = controller._progress_stack(config, avail, uptime)
+                stats.derived[key] = progress
+        else:
+            # An estimate() earlier in this bucket froze a zone at
+            # another price level: assemble from the frozen statistics.
+            avail, uptime, rate = controller._stat_matrices(ctx)
+            progress = controller._progress_stack(config, avail, uptime)
         self.bucket = bucket
-        self.matrices = (avail, uptime, rate, progress)
+        self.matrices = (avail, uptime, rate[:, :, None], *progress)
         self.misses += 1
 
     def select(
@@ -458,7 +482,16 @@ class AdaptiveController(Controller):
         return self._cost_from_rate(ctx, progress_rate, spot_rate)
 
     @staticmethod
+    def _interval_grid(policy_kind: str, combined_uptime, ckpt_cost_s: float):
+        """Checkpoint interval per cell: hourly for Periodic, Daly's
+        interval on the combined expected up time for Markov-Daly."""
+        if policy_kind == "periodic":
+            return 3600.0 - ckpt_cost_s
+        return daly_interval_batch(combined_uptime, ckpt_cost_s)
+
+    @classmethod
     def _progress_grid(
+        cls,
         config,
         policy_kind: str,
         combined_avail: np.ndarray,
@@ -466,22 +499,53 @@ class AdaptiveController(Controller):
     ) -> np.ndarray:
         """Expected progress rate per cell — the ``now``-free half of
         the cost grid, constant within a statistics bucket."""
-        if policy_kind == "periodic":
-            interval = 3600.0 - config.ckpt_cost_s
-        else:
-            interval = daly_interval_batch(combined_uptime, config.ckpt_cost_s)
+        interval = cls._interval_grid(
+            policy_kind, combined_uptime, config.ckpt_cost_s
+        )
         useful = expected_useful_fraction_batch(
             combined_uptime, config.ckpt_cost_s, interval
         )
         return combined_avail * useful
+
+    def _progress_stack(
+        self, config, avail: np.ndarray, uptime: np.ndarray
+    ) -> tuple:
+        """Every kind's :meth:`_progress_grid` on a last axis, with its
+        :meth:`_rate_parts`: (zone set, bid, kind) is the full loop's
+        iteration order.  One element-wise useful-fraction pass over
+        every kind's intervals, so each cell equals its per-kind
+        grid's."""
+        ckpt = config.ckpt_cost_s
+        interval = np.empty(uptime.shape + (len(self.policy_kinds),))
+        for ki, kind in enumerate(self.policy_kinds):
+            interval[..., ki] = self._interval_grid(kind, uptime, ckpt)
+        useful = expected_useful_fraction_batch(uptime[..., None], ckpt, interval)
+        progress = avail[..., None] * useful
+        return progress, self._rate_parts(progress)
+
+    @staticmethod
+    def _rate_parts(progress_rate: np.ndarray) -> tuple:
+        """The ``now``-free masks and denominators of
+        :meth:`_cost_from_rate`: (rate > 0, rate >= 1, the rate with
+        zeros replaced by 1 — a divisor only read where the rate is
+        positive — and the guard branch's clamped ``1 - rate``)."""
+        positive = progress_rate > 0
+        return (
+            positive,
+            progress_rate >= 1.0,
+            np.where(positive, progress_rate, 1.0),
+            np.maximum(1.0 - progress_rate, COST_EPS),
+        )
 
     def _cost_from_rate(
         self,
         ctx: PolicyContext,
         progress_rate: np.ndarray,
         spot_rate: np.ndarray,
+        parts: tuple | None = None,
     ) -> np.ndarray:
-        """The deadline-clock half of :meth:`_cost_grid`."""
+        """The deadline-clock half of :meth:`_cost_grid`; ``parts`` are
+        ``progress_rate``'s :meth:`_rate_parts` when already known."""
         config = ctx.config
         committed = ctx.run.committed_progress_s()
         remaining_compute = max(config.compute_s - committed, 0.0)
@@ -495,19 +559,18 @@ class AdaptiveController(Controller):
             od_hours = (remaining_compute + config.restart_cost_s) / 3600.0
             return np.full(progress_rate.shape, od_hours * ON_DEMAND_PRICE)
 
-        on_spot = (progress_rate * budget >= remaining_compute) & (
-            progress_rate > 0
+        positive, at_least_one, divisor, guard_denom = (
+            self._rate_parts(progress_rate) if parts is None else parts
         )
-        runaway = ~on_spot & (progress_rate >= 1.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            spot_if_done = remaining_compute / progress_rate
+        on_spot = (progress_rate * budget >= remaining_compute) & positive
+        runaway = at_least_one & ~on_spot
         spot_guard = np.maximum(
-            (remaining_time - remaining_compute - overhead)
-            / np.maximum(1.0 - progress_rate, COST_EPS),
-            0.0,
+            (remaining_time - remaining_compute - overhead) / guard_denom, 0.0
         )
         spot_s = np.where(
-            on_spot, spot_if_done, np.where(runaway, remaining_compute, spot_guard)
+            on_spot,
+            remaining_compute / divisor,
+            np.where(runaway, remaining_compute, spot_guard),
         )
         od_s = np.where(
             on_spot | runaway,
@@ -615,11 +678,10 @@ class AdaptiveController(Controller):
         and its exact comparator.
         """
         sets = self._zone_sets
-        avail, uptime, rate, progress = dense
-        costs = self._cost_from_rate(ctx, progress, rate)
-        # (kind, set, bid) -> (set, bid, kind) so the flat index order
-        # matches the full loop's iteration order.
-        flat = costs.transpose(1, 2, 0).ravel()
+        avail, uptime, rate, progress, parts = dense
+        # (zone set, bid, kind) layout: the flat index order is the full
+        # loop's iteration order.
+        flat = self._cost_from_rate(ctx, progress, rate, parts).ravel()
         if flat.size == 0:
             return None
         cand = np.flatnonzero(flat <= flat.min() + SELECT_MARGIN)
@@ -646,5 +708,5 @@ class AdaptiveController(Controller):
             ctx, float(self.bids[i]), sets[si], kind,
             combined_avail=float(avail[si, i]),
             combined_uptime=float(uptime[si, i]),
-            spot_rate=float(rate[si, i]),
+            spot_rate=float(rate[si, i, 0]),
         )

@@ -17,13 +17,16 @@ evaluation window share almost all of the work.
 
 Two cache layers exist:
 
-* **Per-model caches** live on :class:`PriceMarkovModel` — the
-  stationary eigenvector and the absorbing-chain uptime solves are
-  memoized on the fitted chain itself, so every consumer of the same
-  bucket's model shares them for free.
+* **Per-chain tables** live on :class:`PriceMarkovModel` — the
+  stationary eigenvector and its prefix sums, per-start reachability and
+  uptime tables, and the absorbing-chain solves are memoized on the
+  fitted chain itself, so every consumer of the same bucket's model (and
+  its refits at other price levels) shares them for free.
 * **Per-oracle caches** map ``(zone, hour bucket[, price level])`` to
   fitted models and to the batch statistics arrays that
-  :meth:`zone_stats` serves, so the Adaptive grid, the per-policy
+  :meth:`zone_stats` serves, and ``(bucket, zone sets, every zone's
+  price level, bids)`` to the (zone set x bid) matrices that
+  :meth:`zone_set_stats` serves, so the Adaptive grid, the per-policy
   scalar queries, and parallel sweep workers all hit the same entries.
 """
 
@@ -66,7 +69,11 @@ class PriceOracle:
     _refit_cache: dict = field(default_factory=dict, repr=False)
     #: (zone, bucket, level, bids-key) -> (avail, rate, uptime) arrays.
     _zone_stats_cache: dict = field(default_factory=dict, repr=False)
-    #: (zone, bucket, rounded bid) -> empirical mean up-run seconds.
+    #: (bucket, zone sets, zone levels, bids-key) -> ZoneSetStats.
+    _zone_set_cache: dict = field(default_factory=dict, repr=False)
+    #: zone sets -> their :class:`_ZoneSetPlan`.
+    _zone_set_plans: dict = field(default_factory=dict, repr=False)
+    #: (zone, bucket, bid) -> empirical mean up-run seconds.
     _uprun_cache: dict = field(default_factory=dict, repr=False)
     #: (zone, i0, i1) -> min price over that exact sample range.
     _minprice_cache: dict = field(default_factory=dict, repr=False)
@@ -215,7 +222,9 @@ class PriceOracle:
             self._markov_cache[key] = model
         return model
 
-    def _model_at_level(self, zone: str, t: float) -> PriceMarkovModel:
+    def _model_at_level(
+        self, zone: str, t: float, level: float | None = None
+    ) -> PriceMarkovModel:
         """The bucket model, re-conditioned on the current price level.
 
         The bucket model's initial state is the price at the bucket's
@@ -223,11 +232,14 @@ class PriceOracle:
         the uptime prediction (the walk starts from *this* level).
         Refits are memoized by ``(zone, bucket, level)``; incrementally
         they are ``with_initial`` copies sharing the bucket chain's
-        stationary vector and absorbing solves — only the start state
-        changes, so nothing else needs recomputing.
+        stationary vector, absorbing solves and per-start uptime tables
+        — only the start state changes, so nothing else needs
+        recomputing.  ``level`` is the price of ``zone`` at ``t`` when
+        the caller already has it.
         """
         model = self.markov_model(zone, t)
-        level = float(self.price(zone, t))
+        if level is None:
+            level = float(self.price(zone, t))
         if level == float(model.levels[int(np.argmax(model.initial))]):
             return model
         key = (zone, self._bucket(t), level)
@@ -252,11 +264,12 @@ class PriceOracle:
         Returns ``(availability, expected charged rate, expected
         uptime)`` — one array each, aligned with ``bids`` (default: the
         paper's 15-point grid).  The Markov chain is fitted once per
-        ``(zone, hour bucket)``, its stationary eigenvector is computed
-        once per model, and the absorbing-chain uptime system is solved
-        once per distinct up-state set of the grid; the scalar query
-        methods are thin wrappers over the same machinery, so batch and
-        scalar answers are identical to the last bit.
+        ``(zone, hour bucket)``; the bids' up-counts are computed once
+        and index the chain's cached stationary prefix sums and the
+        level-conditioned model's uptime table (one absorbing solve per
+        missing distinct reachable up set).  The scalar query methods
+        read the same tables, so batch and scalar answers are identical
+        to the last bit.
         """
         bids_arr = np.asarray(
             bid_grid() if bids is None else bids, dtype=np.float64
@@ -266,21 +279,52 @@ class PriceOracle:
         cached = self._zone_stats_cache.get(key)
         if cached is None:
             model = self.markov_model(zone, t)
-            avail = model.availability_batch(bids_arr)
-            rate = model.expected_price_given_up_batch(bids_arr)
-            uptime = self._model_at_level(zone, t).expected_uptime_batch(bids_arr)
+            counts = model.up_counts(bids_arr)
+            avail = model.availability_at_counts(counts)
+            rate = model.price_given_up_at_counts(counts, bids_arr)
+            uptime = self._model_at_level(zone, t, level).uptimes_at_counts(counts)
             for arr in (avail, rate, uptime):
                 arr.setflags(write=False)
             cached = (avail, rate, uptime)
             self._zone_stats_cache[key] = cached
         return cached
 
+    def zone_set_stats(
+        self,
+        zone_sets: tuple[tuple[str, ...], ...],
+        t: float,
+        bids: Sequence[float] | np.ndarray,
+    ) -> "ZoneSetStats":
+        """Adaptive's decision statistics over (zone set x bid) cells.
+
+        Each zone's :meth:`zone_stats` is combined over every zone set:
+        availability ``1 - prod(1 - a_z)``, summed expected up time and
+        summed expected spot charge ``sum(a_z * r_z)``.  The result is a
+        pure function of (bucket, every zone's price level at ``t``,
+        bids, zone sets), so it is built once per such key and shared
+        by every controller on this oracle that decides there.
+        """
+        bids_arr = np.asarray(bids, dtype=np.float64)
+        plan = self._zone_set_plans.get(zone_sets)
+        if plan is None:
+            plan = self._zone_set_plans[zone_sets] = _ZoneSetPlan(zone_sets)
+        key = (
+            self._bucket(t), zone_sets,
+            tuple([self.price(z, t) for z in plan.zones]), bids_arr.tobytes(),
+        )
+        stats = self._zone_set_cache.get(key)
+        if stats is None:
+            per_zone = {z: self.zone_stats(z, t, bids_arr) for z in plan.zones}
+            stats = ZoneSetStats(per_zone, *plan.combine(per_zone))
+            self._zone_set_cache[key] = stats
+        return stats
+
     def zone_uptimes(
         self, zone: str, t: float, bids: Sequence[float] | np.ndarray
     ) -> np.ndarray:
         """Expected up times for an arbitrary bid subset.
 
-        The per-up-state-count memo on the level-conditioned model is
+        The level-conditioned model's uptime table over up-counts is
         the cache, so querying a masked subset now and the rest later
         costs exactly the same solves as one full-grid call — and the
         values are bit-identical to :meth:`zone_stats`'s third array.
@@ -324,7 +368,7 @@ class PriceOracle:
 
         The Threshold policy's ``TimeThresh``.
         """
-        key = (zone, self._bucket(t), round(bid, 4))
+        key = (zone, self._bucket(t), float(bid))
         value = self._uprun_cache.get(key)
         if value is None:
             hist = self.history(zone, self._anchor(t))
@@ -338,3 +382,61 @@ class PriceOracle:
         """The Threshold policy's two guards in one cached call:
         ``(S_min over the trailing history, mean up-run at bid)``."""
         return self.min_price(zone, t), self.mean_up_run(zone, t, bid)
+
+
+@dataclass(frozen=True, eq=False)
+class ZoneSetStats:
+    """Per-zone and combined statistics at one decision key of
+    :meth:`PriceOracle.zone_set_stats`.
+
+    ``zones`` maps each zone to its :meth:`PriceOracle.zone_stats`
+    arrays; ``avail``, ``uptime`` and ``rate`` are the (zone set, bid)
+    matrices.  ``derived`` memoizes what consumers compute from these
+    alone (Adaptive's progress-rate grids, keyed by their parameters).
+    """
+
+    zones: dict
+    avail: np.ndarray
+    uptime: np.ndarray
+    rate: np.ndarray
+    derived: dict = field(default_factory=dict, repr=False)
+
+
+class _ZoneSetPlan:
+    """How to reduce per-zone statistics over a tuple of zone sets.
+
+    Each set's zones are reduced in set order, one zone position at a
+    time across all sets long enough to have it, so every cell sees the
+    same operations in the same order as a per-set loop would.
+    """
+
+    def __init__(self, zone_sets: tuple[tuple[str, ...], ...]) -> None:
+        self.zones = tuple(dict.fromkeys(z for zs in zone_sets for z in zs))
+        col = {z: i for i, z in enumerate(self.zones)}
+        #: Zone index of each set's first zone.
+        self.first = np.array([col[zs[0]] for zs in zone_sets])
+        #: Per later position c: (sets with a zone at c, that zone's index).
+        self.steps = []
+        for c in range(1, max(len(zs) for zs in zone_sets)):
+            rows = [i for i, zs in enumerate(zone_sets) if len(zs) > c]
+            self.steps.append((
+                np.array(rows), np.array([col[zone_sets[i][c]] for i in rows])
+            ))
+
+    def combine(self, per_zone: dict) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(avail, uptime, rate) matrices, one row per zone set."""
+        a_z = np.array([per_zone[z][0] for z in self.zones])
+        u_z = np.array([per_zone[z][2] for z in self.zones])
+        one_minus_z = 1.0 - a_z
+        spot_z = a_z * np.array([per_zone[z][1] for z in self.zones])
+        one_minus = one_minus_z[self.first]
+        uptime = u_z[self.first]
+        rate = spot_z[self.first]
+        for rows, cols in self.steps:
+            one_minus[rows] = one_minus[rows] * one_minus_z[cols]
+            uptime[rows] = uptime[rows] + u_z[cols]
+            rate[rows] = rate[rows] + spot_z[cols]
+        avail = 1.0 - one_minus
+        for arr in (avail, uptime, rate):
+            arr.setflags(write=False)
+        return avail, uptime, rate

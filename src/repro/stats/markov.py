@@ -16,10 +16,22 @@ iterated until it is stable at seconds granularity.
 
 For N zones with (near-)independent prices, Section 4.2 combines the
 zones by summing their individual expected up times.
+
+Levels are sorted, so a bid only matters through its up-count k (the k
+cheapest levels keep the instance up).  Every statistic is served from
+tables shared by all ``with_initial`` copies of a fitted chain
+(:class:`_ChainTables`): the stationary vector and its prefix sums give
+availability and expected rate for any k; one bottleneck-path pass over
+the chain's adjacency per start state gives the reachable up set of
+every k at once; and each start state's uptime table over k is filled
+lazily with one absorbing solve per distinct reachable set.
 """
 
 from __future__ import annotations
 
+import copy
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,27 +68,25 @@ class PriceMarkovModel:
     #: An expected up time cannot be statistically justified beyond the
     #: window it was estimated from, so it is capped here.
     fit_window_s: float | None = None
-    # Per-model result caches.  ``levels`` is sorted, so every bid maps
-    # to an *up-state count* k (the k cheapest levels keep the instance
-    # up); all statistics of a bid depend only on k, which is what lets
-    # a whole bid grid share one eigendecomposition and one linear
-    # solve per distinct up-state set.
-    _stationary: np.ndarray | None = field(
+    # ``levels`` is sorted, so every bid maps to an *up-state count* k
+    # (the k cheapest levels keep the instance up) and every statistic
+    # of a bid depends only on k.  Chain-scoped tables (stationary
+    # vector, prefix sums, adjacency, absorbing solves, per-start uptime
+    # tables) live on :class:`_ChainTables`, shared by every
+    # ``with_initial`` copy of the chain.
+    _chain: "_ChainTables" = field(
         default=None, init=False, repr=False, compare=False
     )
-    _uptime_by_count: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _succ: tuple | None = field(
+    #: This model's expected uptime per up-count (NaN = not solved
+    #: yet); a point-mass model's table is its chain's table for that
+    #: start state.
+    _uptimes: np.ndarray | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    # Chain-scoped cache shared across every ``with_initial`` copy of
-    # this chain: stationary vector, successor lists, reachability sets
-    # and absorbing-chain solve vectors depend on (levels, trans) only,
-    # so per-(zone, bucket, level) refits of one bucket's chain all
-    # read from the same table instead of re-deriving them.
-    _chain_shared: dict = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    #: Point-mass start state (-1 when ``initial`` is not a point
+    #: mass), found on first use.
+    _start: int | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
@@ -97,6 +107,7 @@ class PriceMarkovModel:
             raise MarkovError("transition matrix rows must sum to 1")
         if abs(float(self.initial.sum()) - 1.0) > 1e-5 + 1e-9:
             raise MarkovError("initial vector must sum to 1")
+        object.__setattr__(self, "_chain", _ChainTables(self.trans))
 
     @property
     def num_states(self) -> int:
@@ -198,35 +209,26 @@ class PriceMarkovModel:
         per-(zone, bucket, level) refit changes: the window — and
         therefore the levels, the transition matrix and every statistic
         derived from them — is identical.  The copy shares this chain's
-        ``levels``/``trans`` arrays and its chain-scoped cache
-        (:attr:`_chain_shared`), so stationary vectors and absorbing
-        solves computed through any copy are visible to all of them.
+        ``levels``/``trans`` arrays and its chain-scoped tables
+        (:class:`_ChainTables`), so stationary vectors, absorbing solves
+        and per-start uptime tables computed through any copy are
+        visible to all of them.
 
         Bit-identical to ``PriceMarkovModel.fit`` on the same window
         with the new ``current_price``: the start state is the same
-        nearest-level ``argmin`` and the point-mass solve fast path
-        reproduces the dense ``p0 @ x`` contraction exactly.
+        nearest-level ``argmin`` and the point-mass solve reproduces the
+        dense ``p0 @ x`` contraction exactly.
         """
         start = int(np.argmin(np.abs(self.levels - current_price)))
-        if (
-            self.initial[start] == 1.0
-            and np.count_nonzero(self.initial) == 1
-        ):
+        if self._start_state() == start:
             return self
         initial = np.zeros(self.num_states)
         initial[start] = 1.0
-        clone = PriceMarkovModel(
-            levels=self.levels,
-            trans=self.trans,
-            initial=initial,
-            step_s=self.step_s,
-            fit_window_s=self.fit_window_s,
-        )
-        object.__setattr__(clone, "_chain_shared", self._chain_shared)
-        if self._stationary is not None:
-            object.__setattr__(clone, "_stationary", self._stationary)
-        if self._succ is not None:
-            object.__setattr__(clone, "_succ", self._succ)
+        # A shallow copy: the chain was validated when it was built.
+        clone = copy.copy(self)
+        object.__setattr__(clone, "initial", initial)
+        object.__setattr__(clone, "_start", start)
+        object.__setattr__(clone, "_uptimes", None)
         return clone
 
     # ------------------------------------------------------------------
@@ -276,164 +278,137 @@ class PriceMarkovModel:
         bid the chain can never terminate), the expected up time is
         truncated at :attr:`UPTIME_CAP_S`.
 
-        The solve is memoized per distinct up-state set (thin wrapper
-        over :meth:`expected_uptime_batch`'s machinery), so querying a
-        whole bid grid factorizes ``I - Q`` once per distinct set.
+        Answers come from the model's uptime table over up-counts
+        (:meth:`uptimes_at_counts`), so scalar and batch queries share
+        every solve.
         """
-        return self._uptime_for_count(self.up_count(bid))
+        return float(self._uptime_at(self.up_count(bid)))
 
     def expected_uptime_batch(self, bids: np.ndarray) -> np.ndarray:
         """Expected up time for every bid of a grid, seconds.
 
         Bids selecting the same up-state set (the same count of
-        cheapest levels) share one linear solve; on the paper's
-        15-point grid against a trailing window with a handful of
-        distinct price levels this collapses 15 solves into 2-4.
+        cheapest levels) share one table entry; on the paper's 15-point
+        grid against a trailing window with a handful of distinct price
+        levels this collapses 15 solves into 2-4.
         """
-        counts = self.up_counts(bids)
-        return np.array(
-            [self._uptime_for_count(int(k)) for k in counts], dtype=np.float64
-        )
+        return self.uptimes_at_counts(self.up_counts(bids))
 
-    def _successors(self) -> tuple:
-        """Per-state lists of positive-probability successors, cached.
+    def uptimes_at_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Expected up time per up-count of ``counts``, seconds.
 
-        Chain-scoped: the lists depend on ``trans`` only, so every
-        ``with_initial`` copy reads (and writes) one shared entry.
+        Served from the uptime table, which is filled lazily, one
+        absorbing solve (at most) per missing distinct count.
         """
-        s = self._succ
-        if s is None:
-            s = self._chain_shared.get("succ")
-            if s is None:
-                s = tuple(
-                    np.flatnonzero(row > 0.0).tolist() for row in self.trans
-                )
-                self._chain_shared["succ"] = s
-            object.__setattr__(self, "_succ", s)
-        return s
+        for k in set(counts.tolist()):
+            self._uptime_at(k)
+        return self._uptimes[counts]
 
-    def _uptime_for_count(self, k: int) -> float:
-        """Memoized expected up time when the ``k`` cheapest levels are up."""
-        value = self._uptime_by_count.get(k)
-        if value is None:
-            value = self._solve_uptime(k)
-            self._uptime_by_count[k] = value
+    def _uptime_at(self, k: int) -> float:
+        """Table entry for up-count ``k``, solved on first use."""
+        table = self._uptimes
+        if table is None:
+            table = self._uptime_table()
+        value = table[k]
+        if math.isnan(value):
+            value = table[k] = self._solve_uptime(k)
         return value
 
-    def _point_mass_state(self) -> int:
+    def _start_state(self) -> int:
         """Start state when ``initial`` is an exact point mass, else -1."""
-        s = self._chain_shared.get(("pm", self.initial.tobytes()))
+        s = self._start
         if s is None:
             nz = np.flatnonzero(self.initial)
             s = int(nz[0]) if nz.size == 1 and self.initial[nz[0]] == 1.0 else -1
-            self._chain_shared[("pm", self.initial.tobytes())] = s
+            object.__setattr__(self, "_start", s)
         return s
 
-    def _solve_uptime(self, k: int) -> float:
-        """One absorbing-chain solve for the up set = ``k`` cheapest levels.
+    def _uptime_table(self) -> np.ndarray:
+        """This model's uptime table over up-counts ``0..n``.
 
-        Fitted chains always start from a point mass, which admits a
-        chain-shared evaluation: the reachable set depends only on
-        (start state, k) and the solve vector only on (k, reachable
-        set), so ``with_initial`` refits of one bucket's chain reuse
-        each other's factorizations.  The dense path below remains the
-        reference for arbitrary initial distributions.
+        Up-count 0 (and, from a point mass at state s, every count up to
+        s: the walk starts over the bid) has zero expected up time.
         """
-        if k <= 0:
-            return 0.0
-        s = self._point_mass_state()
-        if s >= 0:
-            return self._solve_uptime_point_mass(s, k)
-        up_mask = np.zeros(self.num_states, dtype=bool)
-        up_mask[:k] = True
-        p0_full = self.initial * up_mask
-        alive = float(p0_full.sum())
-        if alive <= 0.0:
-            return 0.0
+        s = self._start_state()
+        chain = self._chain
+        table = chain.uptimes.get(s) if s >= 0 else None
+        if table is None:
+            table = np.full(self.num_states + 1, np.nan)
+            table[: max(s, 0) + 1] = 0.0
+            if s >= 0:
+                chain.uptimes[s] = table
+        object.__setattr__(self, "_uptimes", table)
+        return table
 
-        # Restrict to up states actually reachable from the initial
-        # distribution: an unreachable closed class elsewhere in the
-        # history would otherwise make (I - Q) singular even though the
-        # censored walk from *here* terminates in finite expected time.
-        # Depth-first over per-state successor lists (cached once per
-        # model) — the up set is a prefix of the sorted levels, so
-        # membership is just ``state < k``.
-        cap = self._uptime_cap()
-        succ = self._successors()
-        seen = np.zeros(self.num_states, dtype=bool)
-        stack = np.flatnonzero(p0_full > 0).tolist()
-        seen[stack] = True
-        while stack:
-            for j in succ[stack.pop()]:
-                if j < k and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        reachable = np.flatnonzero(seen)
-        q = self.trans[np.ix_(reachable, reachable)]
-        # If the reachable class is closed (every row already sums to
-        # 1 within the class), the walk never terminates at this bid.
-        if np.all(q.sum(axis=1) > 1.0 - 1e-12):
-            return cap
-        p0 = p0_full[reachable] / alive
-        n = reachable.size
-        try:
-            steps = float(p0 @ np.linalg.solve(np.eye(n) - q, np.ones(n)))
-        except np.linalg.LinAlgError:
-            # A closed sub-class is reachable with positive
-            # probability: the expectation diverges.
-            return cap
-        if not np.isfinite(steps) or steps < 0:
-            return cap
-        return float(min(steps * self.step_s, cap))
+    def _reach(self) -> tuple[np.ndarray, list, list]:
+        """Per state j, the least possible highest state ``m[j]`` on a
+        path from the initial support to j (``n`` when no path exists),
+        with ``m`` sorted and its running maximum.
 
-    def _solve_uptime_point_mass(self, s: int, k: int) -> float:
-        """Chain-shared absorbing solve for a point-mass start at ``s``.
-
-        Replicates the dense path exactly: for ``p0 = e_s`` the
-        contraction ``p0 @ x`` is ``x[s]`` when every component of
-        ``x`` is finite, and NaN (→ cap) when any component is not —
-        ``0.0 * inf`` poisons the dense dot product, so the shared
-        entry caps for every start sharing the same reachable set,
-        exactly as each dense solve would have.
+        Up sets are prefixes, so the up states reachable from the
+        initial support when the ``k`` cheapest levels are up are
+        exactly ``{j : m[j] < k}`` — one bottleneck-path pass over the
+        chain's adjacency serves every up-count.  Point-mass models
+        share the entry per (chain, start state).
         """
-        if s >= k:
-            # Current level is already over the bid: initial up mass 0.
-            return 0.0
-        cap = self._uptime_cap()
-        shared = self._chain_shared
-        rkey = ("reach", s, k)
-        reachable = shared.get(rkey)
-        if reachable is None:
-            succ = self._successors()
-            seen = np.zeros(self.num_states, dtype=bool)
-            stack = [s]
-            seen[stack] = True
-            while stack:
-                for j in succ[stack.pop()]:
-                    if j < k and not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-            reachable = np.flatnonzero(seen)
-            reachable.setflags(write=False)
-            shared[rkey] = reachable
-        skey = ("solve", k, reachable.tobytes())
-        entry = shared.get(skey)
+        s = self._start_state()
+        chain = self._chain
+        entry = chain.reach.get(s) if s >= 0 else None
         if entry is None:
-            q = self.trans[np.ix_(reachable, reachable)]
-            if np.all(q.sum(axis=1) > 1.0 - 1e-12):
-                entry = "cap"
-            else:
-                n = reachable.size
-                try:
-                    x = np.linalg.solve(np.eye(n) - q, np.ones(n))
-                except np.linalg.LinAlgError:
-                    entry = "cap"
-                else:
-                    entry = x if np.all(np.isfinite(x)) else "cap"
-            shared[skey] = entry
-        if isinstance(entry, str):
+            n = self.num_states
+            sources = np.flatnonzero(self.initial > 0.0)
+            m = np.full(n, n)
+            m[sources] = sources
+            # Entering j over an edge costs max(path so far, j).
+            hop = chain.hop()
+            while True:
+                nxt = np.minimum(m, np.maximum(m[:, None], hop).min(axis=0))
+                if (nxt == m).all():
+                    break
+                m = nxt
+            entry = (m, np.sort(m).tolist(), np.maximum.accumulate(m).tolist())
+            if s >= 0:
+                chain.reach[s] = entry
+        return entry
+
+    def _solve_uptime(self, k: int) -> float:
+        """One absorbing-chain evaluation for the up set = ``k`` cheapest
+        levels, restricted to the up states reachable from the initial
+        distribution: an unreachable closed class elsewhere in the
+        history would otherwise make (I - Q) singular even though the
+        censored walk from *here* terminates in finite expected time.
+
+        The solve depends only on the reachable set, so it is shared
+        across every start state and up-count that reach the same set
+        (:meth:`_ChainTables.solve`).  For a point mass ``e_s`` the
+        contraction ``p0 @ x`` is ``x[s]`` when every component of ``x``
+        is finite, and NaN (→ cap) when any component is not, which is
+        what the shared entry's cap encodes.
+        """
+        s = self._start_state()
+        if s < 0:
+            up_mask = np.zeros(self.num_states, dtype=bool)
+            up_mask[:k] = True
+            p0_full = self.initial * up_mask
+            alive = float(p0_full.sum())
+            if alive <= 0.0:
+                return 0.0
+        m, m_sorted, m_max = self._reach()
+        r = bisect_left(m_sorted, k)  # |{j : m[j] < k}| >= 1
+        # Nearly always the reachable set is the prefix 0..r-1.
+        reachable = None if m_max[r - 1] < k else np.flatnonzero(m < k)
+        x = self._chain.solve(r, reachable)
+        cap = self._uptime_cap()
+        if x is None:
             return cap
-        steps = float(entry[int(np.searchsorted(reachable, s))])
+        if s >= 0:
+            pos = s if reachable is None else int(np.searchsorted(reachable, s))
+            steps = float(x[pos])
+        else:
+            p0 = p0_full[:r] if reachable is None else p0_full[reachable]
+            steps = float((p0 / alive) @ x)
+            if not np.isfinite(steps):
+                return cap
         if steps < 0:
             return cap
         return float(min(steps * self.step_s, cap))
@@ -469,24 +444,28 @@ class PriceMarkovModel:
         """Asymptotic state distribution of the chain, cached.
 
         The left eigenvector of ``trans`` at eigenvalue 1, normalized
-        to a probability vector.  Computed once per model: the
+        to a probability vector.  Computed once per chain: the
         eigendecomposition is the dominant cost of every availability
         and expected-rate query, and it is identical for all of them.
         """
-        v = self._stationary
+        chain = self._chain
+        v = chain.stationary
         if v is None:
-            v = self._chain_shared.get("stationary")
-            if v is None:
-                evals, evecs = np.linalg.eig(self.trans.T)
-                i = int(np.argmin(np.abs(evals - 1.0)))
-                v = np.abs(np.real(evecs[:, i]))
-                total = v.sum()
-                if total <= 0:
-                    raise MarkovError("degenerate stationary distribution")
-                v = v / total
-                v.setflags(write=False)
-                self._chain_shared["stationary"] = v
-            object.__setattr__(self, "_stationary", v)
+            evals, evecs = np.linalg.eig(self.trans.T)
+            i = int(np.argmin(np.abs(evals - 1.0)))
+            v = np.abs(np.real(evecs[:, i]))
+            total = v.sum()
+            if total <= 0:
+                raise MarkovError("degenerate stationary distribution")
+            v = v / total
+            v.setflags(write=False)
+            chain.stationary = v
+            # Levels are sorted, so each bid's up mass (and price-weighted
+            # mass) is a prefix sum of the stationary vector.
+            chain.cum_mass = np.concatenate(([0.0], np.cumsum(v)))
+            chain.cum_weighted = np.concatenate(
+                ([0.0], np.cumsum(v * self.levels))
+            )
         return v
 
     def availability(self, bid: float) -> float:
@@ -506,13 +485,13 @@ class PriceMarkovModel:
         return float(self.availability_batch(np.array([bid]))[0])
 
     def availability_batch(self, bids: np.ndarray) -> np.ndarray:
-        """:meth:`availability` for a whole bid grid, one eig shared.
+        """:meth:`availability` for a whole bid grid, one eig shared."""
+        return self.availability_at_counts(self.up_counts(bids))
 
-        Levels are sorted, so each bid's up mass is a prefix sum of the
-        stationary vector.
-        """
-        cum = np.concatenate(([0.0], np.cumsum(self.stationary())))
-        return cum[self.up_counts(bids)]
+    def availability_at_counts(self, counts: np.ndarray) -> np.ndarray:
+        """Stationary up mass per up-count of ``counts``."""
+        self.stationary()
+        return self._chain.cum_mass[counts]
 
     def expected_price_given_up(self, bid: float) -> float:
         """Mean price over up states under the stationary distribution.
@@ -527,12 +506,83 @@ class PriceMarkovModel:
     def expected_price_given_up_batch(self, bids: np.ndarray) -> np.ndarray:
         """:meth:`expected_price_given_up` for a whole bid grid."""
         bids = np.asarray(bids, dtype=np.float64)
-        v = self.stationary()
-        counts = self.up_counts(bids)
-        mass = np.concatenate(([0.0], np.cumsum(v)))[counts]
-        weighted = np.concatenate(([0.0], np.cumsum(v * self.levels)))[counts]
+        return self.price_given_up_at_counts(self.up_counts(bids), bids)
+
+    def price_given_up_at_counts(
+        self, counts: np.ndarray, bids: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`expected_price_given_up_batch` given the bids' up-counts."""
+        self.stationary()
+        chain = self._chain
+        mass = chain.cum_mass[counts]
+        weighted = chain.cum_weighted[counts]
         safe_mass = np.where(mass > 0.0, mass, 1.0)
         return np.where(mass > 0.0, weighted / safe_mass, bids)
+
+
+class _ChainTables:
+    """Tables of one chain (levels, trans), shared by every
+    ``with_initial`` copy of it.
+
+    ``stationary`` and its prefix sums ``cum_mass`` / ``cum_weighted``
+    are filled by :meth:`PriceMarkovModel.stationary`; ``reach`` and
+    ``uptimes`` hold the bottleneck-path entry and the uptime table per
+    point-mass start state; ``solves`` maps a reachable up set to its
+    absorbing-chain solve vector (``None`` when the expected up time
+    diverges and is capped).
+    """
+
+    __slots__ = ("trans", "stationary", "cum_mass", "cum_weighted",
+                 "_hop", "reach", "uptimes", "solves")
+
+    def __init__(self, trans: np.ndarray) -> None:
+        self.trans = trans
+        self.stationary = None
+        self.cum_mass = None
+        self.cum_weighted = None
+        self._hop = None
+        self.reach: dict[int, tuple] = {}
+        self.uptimes: dict[int, np.ndarray] = {}
+        self.solves: dict = {}
+
+    def hop(self) -> np.ndarray:
+        """``hop[i, j] = j`` where ``i -> j`` has positive probability,
+        else ``n``: the highest state a path reaches by taking that edge."""
+        if self._hop is None:
+            n = self.trans.shape[0]
+            self._hop = np.where(self.trans > 0.0, np.arange(n), n)
+        return self._hop
+
+    def solve(self, r: int, reachable: np.ndarray | None):
+        """``(I - Q)^{-1} 1`` over an up set of ``r`` states — the prefix
+        ``0..r-1`` when ``reachable`` is None, else the sorted state ids
+        ``reachable`` — memoized per set; ``None`` when the set is
+        closed, ``I - Q`` is singular or the solution is not finite."""
+        key = r if reachable is None else reachable.tobytes()
+        x = self.solves.get(key, _UNSOLVED)
+        if x is _UNSOLVED:
+            if reachable is None:
+                q = self.trans[:r, :r]
+            else:
+                q = self.trans[np.ix_(reachable, reachable)]
+            x = None
+            # A closed class (every row already sums to 1 within the
+            # set) never terminates at this bid.
+            if not q.sum(axis=1).min() > 1.0 - 1e-12:
+                try:
+                    x = np.linalg.solve(np.eye(r) - q, np.ones(r))
+                except np.linalg.LinAlgError:
+                    # A closed sub-class is reachable with positive
+                    # probability: the expectation diverges.
+                    x = None
+                else:
+                    if not np.isfinite(x).all():
+                        x = None
+            self.solves[key] = x
+        return x
+
+
+_UNSOLVED = object()
 
 
 def _check_prices(prices: np.ndarray) -> None:

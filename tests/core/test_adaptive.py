@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.app.application import ApplicationRun
@@ -232,6 +233,63 @@ class TestBatchedFrontEnd:
                 memo = ctrl.selection_memo
                 assert memo.misses == len(buckets)
                 assert memo.hits == len(offsets) - len(buckets)
+
+
+class TestSharedMatrices:
+    """The oracle's shared (zone set x bid) matrices and the stacked
+    progress grids equal the controller's own per-set assembly and
+    per-kind grids, element for element."""
+
+    def assert_matches_reference(self, ctrl, ctx):
+        ctrl.best_candidate(ctx)
+        avail, uptime, rate, progress, _ = ctrl.selection_memo.matrices
+        ref_avail, ref_uptime, ref_rate = ctrl._stat_matrices(ctx)
+        np.testing.assert_array_equal(avail, ref_avail)
+        np.testing.assert_array_equal(uptime, ref_uptime)
+        np.testing.assert_array_equal(rate[:, :, 0], ref_rate)
+        for ki, kind in enumerate(ctrl.policy_kinds):
+            np.testing.assert_array_equal(
+                progress[..., ki],
+                ctrl._progress_grid(ctx.config, kind, ref_avail, ref_uptime),
+            )
+
+    @pytest.mark.parametrize("window", ["low", "high"])
+    def test_equal_to_reference_assembly_and_shared(self, window):
+        from repro.traces.library import evaluation_window
+
+        trace, eval_start = evaluation_window(window)
+        oracle = PriceOracle(trace)
+        for hours in (0.0, 7.25, 25.5, 73.0, 140.75):
+            now = eval_start + hours * 3600.0
+            controllers = []
+            for ckpt in (300.0, 900.0, 300.0):
+                config = small_config(compute_h=12.0, ckpt_cost_s=ckpt)
+                ctrl = AdaptiveController()
+                ctx = ctx_at(trace, oracle, config, eval_start, now)
+                ctrl.reset(ctx)
+                self.assert_matches_reference(ctrl, ctx)
+                controllers.append(ctrl)
+            a, b, c = (ctrl.selection_memo.matrices for ctrl in controllers)
+            assert a[0] is b[0] is c[0]  # one build per key
+            assert a[3] is c[3] and a[3] is not b[3]  # per checkpoint cost
+
+    def test_estimate_before_first_decision_keeps_its_frozen_stats(self):
+        # estimate() freezes a zone at the bucket's first query; a first
+        # decision later in the bucket at another price level must price
+        # those frozen statistics, not the oracle's at the new level.
+        trace = market_trace()
+        oracle = PriceOracle(trace)
+        config = small_config(compute_h=2.0, slack_fraction=1.0)
+        start = trace.start_time + 86400.0
+        first = ctx_at(trace, oracle, config, start, start)
+        later = ctx_at(trace, oracle, config, start, start + 900.0)
+        assert oracle.stats_bucket(first.now) == oracle.stats_bucket(later.now)
+        assert oracle.price("za", first.now) != oracle.price("za", later.now)
+        ctrl = AdaptiveController()
+        ctrl.reset(first)
+        ctrl.estimate(first, 0.47, ("za",), "periodic")
+        self.assert_matches_reference(ctrl, later)
+        assert ctrl.best_candidate(later) == ctrl._best_candidate_full(later)
 
 
 class TestWholeRuns:

@@ -7,7 +7,6 @@ import pytest
 from repro.core.engine import Controller, EngineError, SwitchDecision
 from repro.core.periodic import PeriodicPolicy
 from repro.core.markov_daly import MarkovDalyPolicy
-from repro.market.instance import ZoneState
 
 from tests.conftest import make_sim, multi_step_trace, small_config
 

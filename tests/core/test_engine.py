@@ -8,13 +8,11 @@ dollar amounts and timelines can be derived on paper.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.core.engine import EngineError, SpotSimulator
+from repro.core.engine import EngineError
 from repro.core.periodic import PeriodicPolicy
 from repro.core.policy import NeverCheckpoint
-from repro.market.instance import ZoneState
 
 from tests.conftest import flat_trace, make_sim, multi_step_trace, small_config
 

@@ -8,7 +8,6 @@ play the adversary; every policy must hold the line.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from repro.core.markov_daly import MarkovDalyPolicy
 from repro.core.policy import PolicyContext
 from repro.app.application import ApplicationRun
@@ -12,7 +9,6 @@ from repro.app.checkpoint import CheckpointStore
 from repro.market.instance import ZoneInstance, ZoneState
 from repro.market.spot_market import PriceOracle
 from repro.stats.daly import daly_interval
-from repro.traces.model import SpotPriceTrace
 
 from tests.conftest import flat_trace, make_sim, multi_step_trace, small_config
 

@@ -119,6 +119,19 @@ class TestDerivedStatistics:
         # runs of three cheap samples: 900 s
         assert o.mean_up_run("za", t, 0.5) == pytest.approx(900.0, rel=0.35)
 
+    def test_mean_up_run_independent_of_query_order(self):
+        # 0.81003 is down at a bid of 0.81 (one-sample up runs) but up at
+        # 0.81004 (three-sample runs); both bids round to 0.81 at four
+        # decimals, so a rounded cache key served whichever came first.
+        prices = list(np.tile([0.5, 0.81003, 0.5, 2.0], 40))
+        t = 120 * 300.0
+        warm = oracle_with(prices)
+        assert warm.mean_up_run("za", t, 0.81) == pytest.approx(300.0)
+        assert warm.mean_up_run("za", t, 0.81004) == pytest.approx(900.0)
+        fresh = oracle_with(prices)
+        assert fresh.mean_up_run("za", t, 0.81004) == pytest.approx(900.0)
+        assert fresh.threshold_stats("za", t, 0.81)[1] == pytest.approx(300.0)
+
     def test_markov_model_cached_per_hour_bucket(self):
         o = self._cycling_oracle()
         m1 = o.markov_model("za", 40 * 300.0)

@@ -3,7 +3,7 @@
 The batch API must be a pure vectorization: for every bid on the paper
 grid, over both volatility windows, the arrays it returns agree with
 the scalar ``availability`` / ``expected_price_given_up`` /
-``expected_uptime`` calls to 1e-12.  A separate check recomputes the
+``expected_uptime`` calls exactly.  A separate check recomputes the
 stationary distribution with a fresh eigendecomposition, so the cumsum
 fast path is validated against linear algebra done outside the cache.
 """
@@ -42,7 +42,7 @@ class TestBatchScalarEquivalence:
             for zone in zones:
                 avail, _, _ = oracle.zone_stats(zone, t, bids)
                 scalar = [oracle.availability(zone, t, b) for b in bids]
-                np.testing.assert_allclose(avail, scalar, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(avail, scalar)
 
     def test_price_given_up_matches_scalar(self, window_oracle):
         oracle, eval_start, zones = window_oracle
@@ -53,7 +53,7 @@ class TestBatchScalarEquivalence:
                 scalar = [
                     oracle.expected_price_given_up(zone, t, b) for b in bids
                 ]
-                np.testing.assert_allclose(rate, scalar, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(rate, scalar)
 
     def test_uptime_matches_scalar(self, window_oracle):
         oracle, eval_start, zones = window_oracle
@@ -62,7 +62,7 @@ class TestBatchScalarEquivalence:
             for zone in zones:
                 _, _, uptime = oracle.zone_stats(zone, t, bids)
                 scalar = [oracle.expected_uptime(zone, t, b) for b in bids]
-                np.testing.assert_allclose(uptime, scalar, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(uptime, scalar)
 
     def test_combined_uptimes_sum_per_zone(self, window_oracle):
         oracle, eval_start, zones = window_oracle
@@ -72,7 +72,7 @@ class TestBatchScalarEquivalence:
         expected = [
             sum(oracle.expected_uptime(z, t, b) for z in zones) for b in bids
         ]
-        np.testing.assert_allclose(combined, expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(combined, expected)
 
 
 class TestAgainstFreshEig:

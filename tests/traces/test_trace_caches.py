@@ -11,7 +11,6 @@ and excluded from trace equality.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
