@@ -101,11 +101,14 @@ class PriceMarkovModel:
             raise MarkovError(f"initial vector shape {self.initial.shape} != ({n},)")
         # max-abs checks with np.allclose's effective tolerance
         # (atol=1e-9 plus the default rtol of 1e-5 against 1.0), kept
-        # cheap because every Markov fit runs through here.
+        # cheap because every Markov fit runs through here.  Written as
+        # ``not err <= tol`` so a NaN or infinite entry, which makes its
+        # sum NaN or infinite, fails them too.
+        tol = 1e-5 + 1e-9
         rows = self.trans.sum(axis=1)
-        if float(np.abs(rows - 1.0).max()) > 1e-5 + 1e-9:
+        if not float(np.abs(rows - 1.0).max()) <= tol:
             raise MarkovError("transition matrix rows must sum to 1")
-        if abs(float(self.initial.sum()) - 1.0) > 1e-5 + 1e-9:
+        if not abs(float(self.initial.sum()) - 1.0) <= tol:
             raise MarkovError("initial vector must sum to 1")
         object.__setattr__(self, "_chain", _ChainTables(self.trans))
 

@@ -20,18 +20,53 @@ Design notes
   excursion whose level is drawn from a separate log-normal.
 * **Weak cross-zone coupling.**  Section 3.1's VAR analysis found
   cross-zone lagged effects 1–2 orders of magnitude below own-zone
-  effects.  We reproduce that by letting each zone's move probability
-  rise slightly while any *other* zone is spiking — enough for the VAR
-  to detect, far too little to defeat redundancy.
+  effects.  We reproduce that by letting each zone's spike-onset
+  probability rise slightly while any *other* zone is spiking — enough
+  for the VAR to detect, far too little to defeat redundancy.
 
 All randomness flows through a caller-supplied :class:`numpy.random.
 Generator`, so every dataset in this package is reproducible from a
 single seed.
+
+Event-driven generation
+-----------------------
+The process is defined sample by sample: at each step every zone, in
+zone order, either counts down its spike, or tests a spike onset
+against ``min(1, spike_prob * hazard + cross_excitation * o)`` (``o``
+other zones spiking at the *start* of the step) and then a move against
+``move_prob``.  :func:`generate_zones` produces exactly that process
+while its Python loop visits each *event* once rather than every
+(sample, zone) pair:
+
+* The per-sample uniforms are drawn up front in two bulk calls.  For
+  each zone and each count ``o`` it actually meets, NumPy precomputes
+  which calm steps fire (onset or move) and, for every step, the next
+  firing step at or after it.  Only ``*``, ``+``, ``minimum`` and ``<``
+  run vectorized, so each comparison is the scalar one, bit for bit.
+* The loop jumps to the earliest pending event: a calm zone's next
+  firing step under the current ``o``, or a spike's end at its onset
+  step ``+ 1 + G``.  A step's events run in zone order and all see the
+  spiking count from the start of the step; a change of that count
+  re-looks-up every calm zone's next firing step.
+* **Draw-order contract.**  Every ``rng.geometric()`` (spike length)
+  and ``rng.standard_normal()`` (new level) call happens in the
+  (step, zone) order of the sample-by-sample loop, so the prices *and*
+  the generator's final state equal that loop's;
+  ``tests/traces/test_generator_reference.py`` keeps the loop as the
+  reference and checks both.
+* **Transcendentals stay scalar.**  Each level is priced as its draw
+  happens, with ``np.exp`` on a Python float and then
+  :func:`_quantize`.  A vectorized ``exp`` may take a different SIMD
+  code path and differ in the last bit, which the cent grid can turn
+  into a different price.
+* Price rows are filled once at the end, segment by segment, from each
+  zone's list of level changes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -100,6 +135,10 @@ class ZoneRegimeConfig:
     spike_quantum: float = 0.05
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.base_price <= 0:
             raise ValueError(f"base_price must be positive, got {self.base_price}")
         if not (0 <= self.move_prob <= 1 and 0 <= self.spike_prob <= 1):
@@ -110,6 +149,8 @@ class ZoneRegimeConfig:
             raise ValueError("floor_price must be positive")
         if self.max_price < self.base_price or self.max_price < self.floor_price:
             raise ValueError("max_price must be >= base_price and >= floor_price")
+        if self.calm_quantum <= 0 or self.spike_quantum <= 0:
+            raise ValueError("calm_quantum and spike_quantum must be positive")
         # base_price may sit *below* the floor: the sub-floor mass of
         # the level distribution clips to the floor, producing the
         # floor-dwelling behaviour of calm months.
@@ -174,6 +215,52 @@ def _quantize(price: float, cfg: ZoneRegimeConfig, quantum: float | None = None)
     return min(max(p, cfg.floor_price), cfg.max_price)
 
 
+def _calm_level(cfg: ZoneRegimeConfig, rng: np.random.Generator) -> float:
+    """Draw a calm level: one normal, a scalar ``exp``, the calm grid."""
+    return _quantize(
+        cfg.base_price * np.exp(cfg.calm_sigma * rng.standard_normal()),
+        cfg,
+        cfg.calm_quantum,
+    )
+
+
+def _spike_level(cfg: ZoneRegimeConfig, rng: np.random.Generator) -> float:
+    """Draw a spike level: one normal, a scalar ``exp``, the spike grid."""
+    return _quantize(
+        cfg.spike_level * np.exp(cfg.spike_sigma * rng.standard_normal()),
+        cfg,
+        cfg.spike_quantum,
+    )
+
+
+def _firing_steps(
+    cfg: ZoneRegimeConfig,
+    envelope: np.ndarray | None,
+    others: int,
+    u_move: np.ndarray,
+    u_spike: np.ndarray,
+) -> tuple[memoryview, memoryview]:
+    """Where one calm zone fires while ``others`` other zones spike.
+
+    Returns ``(next_fire, onset)``: ``next_fire[t]`` is the first step
+    ``>= t`` at which the zone would start a spike or move, or the trace
+    length ``n`` if none (it has ``n + 1`` entries, so a look-up just
+    past the last step finds none), and ``onset[t]`` says whether a
+    firing at ``t`` is a spike onset rather than a move.  Only ``*``,
+    ``+``, ``minimum`` and ``<`` run vectorized, so every comparison is
+    bit-for-bit the one a per-step scalar loop makes.
+    """
+    n = u_move.shape[0]
+    hazard = cfg.spike_prob if envelope is None else cfg.spike_prob * envelope
+    p_spike = np.minimum(1.0, hazard + cfg.cross_excitation * others)
+    onset = u_spike < p_spike
+    steps = np.where(onset | (u_move < cfg.move_prob), np.arange(n), n)
+    next_fire = np.append(np.minimum.accumulate(steps[::-1])[::-1], n)
+    # memoryviews index to Python ints and bools without the object per
+    # entry that tolist() would allocate (and leave in the heap)
+    return memoryview(next_fire), memoryview(onset)
+
+
 def generate_zones(
     configs: dict[str, ZoneRegimeConfig],
     num_samples: int,
@@ -202,9 +289,9 @@ def generate_zones(
     names = list(configs)
     n_zones = len(names)
     cfgs = [configs[name] for name in names]
+    envelopes: list[np.ndarray | None] = [None] * n_zones
     if hazard_envelopes is not None:
-        envelopes = []
-        for name in names:
+        for j, name in enumerate(names):
             env = np.asarray(hazard_envelopes[name], dtype=np.float64)
             if env.shape != (num_samples,):
                 raise ValueError(
@@ -213,57 +300,85 @@ def generate_zones(
                 )
             if np.any(env < 0):
                 raise ValueError("hazard multipliers must be >= 0")
-            envelopes.append(env)
-        hazard = np.column_stack(envelopes)
-    else:
-        hazard = None
-
-    prices = np.empty((n_zones, num_samples), dtype=np.float64)
-    level = np.array([_quantize(c.base_price, c, c.calm_quantum) for c in cfgs])
-    spiking = np.zeros(n_zones, dtype=bool)
-    spike_left = np.zeros(n_zones, dtype=np.int64)
+            if not np.all(np.isfinite(env)):
+                raise ValueError("hazard multipliers must be finite")
+            envelopes[j] = env
 
     # Pre-draw the per-sample uniforms in bulk; level draws are lazy
     # because they are comparatively rare.
     u_move = rng.random((num_samples, n_zones))
     u_spike = rng.random((num_samples, n_zones))
 
-    for t in range(num_samples):
-        n_spiking = int(spiking.sum())
-        for j, cfg in enumerate(cfgs):
-            if spiking[j]:
-                spike_left[j] -= 1
-                if spike_left[j] <= 0:
-                    spiking[j] = False
-                    level[j] = _quantize(
-                        cfg.base_price * np.exp(cfg.calm_sigma * rng.standard_normal()),
-                        cfg,
-                        cfg.calm_quantum,
-                    )
+    # tables[j][o]: _firing_steps of zone j while o other zones spike,
+    # built on first use; without coupling, o = 0 serves every count.
+    tables: list[list] = [[None] * n_zones for _ in range(n_zones)]
+    # step at which each zone's current spike ends; None while calm
+    spike_end: list[int | None] = [None] * n_zones
+    n_spiking = 0
+    # each calm zone's table under the current spiking count
+    next_fire: list[memoryview | None] = [None] * n_zones
+    onset: list[memoryview | None] = [None] * n_zones
+
+    def retable(j: int) -> None:
+        cfg = cfgs[j]
+        o = n_spiking if cfg.cross_excitation else 0
+        table = tables[j][o]
+        if table is None:
+            table = tables[j][o] = _firing_steps(
+                cfg, envelopes[j], o, u_move[:, j], u_spike[:, j])
+        next_fire[j], onset[j] = table
+
+    for j in range(n_zones):
+        retable(j)
+    # each zone's next event step
+    due = [next_fire[j][0] for j in range(n_zones)]
+    # Each zone's price is a run of levels: change_steps[j][i] is where
+    # change_levels[j][i + 1] takes over.
+    change_steps: list[list[int]] = [[] for _ in range(n_zones)]
+    change_levels = [[_quantize(c.base_price, c, c.calm_quantum)] for c in cfgs]
+    zone_ids = range(n_zones)
+    while True:
+        step = min(due, default=num_samples)
+        if step >= num_samples:
+            break
+        # Every event of one step, in zone order, each seeing the
+        # spiking count at the start of the step: the draws happen in
+        # exactly the (step, zone) order of a sample-by-sample loop.
+        regime_change = False
+        for j in zone_ids:
+            if due[j] != step:
+                continue
+            cfg = cfgs[j]
+            if spike_end[j] is not None:
+                spike_end[j] = None
+                n_spiking -= 1
+                regime_change = True
+                new_level = _calm_level(cfg, rng)
+            elif onset[j][step]:
+                spike_end[j] = due[j] = step + 1 + rng.geometric(
+                    1.0 / cfg.spike_mean_duration
+                )
+                n_spiking += 1
+                regime_change = True
+                new_level = _spike_level(cfg, rng)
             else:
-                others = n_spiking - int(spiking[j])
-                base_hazard = cfg.spike_prob
-                if hazard is not None:
-                    base_hazard *= hazard[t, j]
-                p_spike = min(1.0, base_hazard + cfg.cross_excitation * others)
-                if u_spike[t, j] < p_spike:
-                    spiking[j] = True
-                    spike_left[j] = 1 + rng.geometric(
-                        1.0 / cfg.spike_mean_duration
-                    )
-                    level[j] = _quantize(
-                        cfg.spike_level
-                        * np.exp(cfg.spike_sigma * rng.standard_normal()),
-                        cfg,
-                        cfg.spike_quantum,
-                    )
-                elif u_move[t, j] < cfg.move_prob:
-                    level[j] = _quantize(
-                        cfg.base_price * np.exp(cfg.calm_sigma * rng.standard_normal()),
-                        cfg,
-                        cfg.calm_quantum,
-                    )
-            prices[j, t] = level[j]
+                due[j] = next_fire[j][step + 1]
+                new_level = _calm_level(cfg, rng)
+            change_steps[j].append(step)
+            change_levels[j].append(new_level)
+        if regime_change:
+            # The spiking count moved every calm zone's onset hazard;
+            # it holds until the next event, so the next event of each
+            # calm zone is found under the new count.
+            for j in zone_ids:
+                if spike_end[j] is None:
+                    retable(j)
+                    due[j] = next_fire[j][step + 1]
+
+    prices = np.empty((n_zones, num_samples), dtype=np.float64)
+    for j in range(n_zones):
+        bounds = [0, *change_steps[j], num_samples]
+        prices[j] = np.repeat(change_levels[j], np.diff(bounds))
 
     zones = tuple(
         ZoneTrace(zone=name, start_time=start_time, prices=prices[j],

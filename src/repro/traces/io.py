@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io as _io
+import math
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, TextIO
@@ -95,6 +96,8 @@ def read_price_events(stream: TextIO) -> dict[str, list[tuple[float, float]]]:
             price = float(row["spot_price"])
         except (TraceError, ValueError) as exc:
             raise TraceError(f"line {lineno}: {exc}") from None
+        if not math.isfinite(price):
+            raise TraceError(f"line {lineno}: non-finite price {price}")
         if price <= 0:
             raise TraceError(f"line {lineno}: non-positive price {price}")
         events.setdefault(row["availability_zone"], []).append((t, price))

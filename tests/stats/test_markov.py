@@ -190,6 +190,35 @@ class TestValidation:
                 initial=np.array([1.0, 0.0]),
             )
 
+    # inf + -inf sums to NaN, with a RuntimeWarning from numpy
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("trans", [
+        [[np.nan, 0.5], [0.5, 0.5]],
+        [[np.inf, 0.5], [0.5, 0.5]],
+        [[np.inf, -np.inf], [0.5, 0.5]],
+    ])
+    def test_non_finite_transition_rejected(self, trans):
+        # a NaN row sum used to pass, failing later inside np.linalg.eig
+        with pytest.raises(MarkovError, match="rows must sum to 1"):
+            PriceMarkovModel(
+                levels=np.array([0.3, 0.4]),
+                trans=np.array(trans),
+                initial=np.array([1.0, 0.0]),
+            )
+
+    # inf + -inf sums to NaN, with a RuntimeWarning from numpy
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("initial", [
+        [np.nan, 1.0], [np.inf, 0.0], [np.inf, -np.inf],
+    ])
+    def test_non_finite_initial_rejected(self, initial):
+        with pytest.raises(MarkovError, match="initial vector must sum to 1"):
+            PriceMarkovModel(
+                levels=np.array([0.3, 0.4]),
+                trans=np.eye(2),
+                initial=np.array(initial),
+            )
+
     def test_initial_must_sum_to_one(self):
         with pytest.raises(MarkovError):
             PriceMarkovModel(

@@ -41,6 +41,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ZoneRegimeConfig(**{**cfg.__dict__, "max_price": 0.1})
 
+    @pytest.mark.parametrize("field", ["base_price", "cross_excitation",
+                                       "spike_sigma", "max_price"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_field(self, field, value):
+        # NaN base_price used to die later with "cannot convert float
+        # NaN to integer"; NaN coupling or spike sigma generated a trace
+        cfg = volatile_zone_config()
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ZoneRegimeConfig(**{**cfg.__dict__, field: value})
+
+    @pytest.mark.parametrize("field", ["calm_quantum", "spike_quantum"])
+    @pytest.mark.parametrize("value", [0.0, -0.05])
+    def test_rejects_non_positive_quantum(self, field, value):
+        # calm_quantum=0 used to raise ZeroDivisionError at the first draw
+        cfg = volatile_zone_config()
+        with pytest.raises(ValueError, match="quantum must be positive"):
+            ZoneRegimeConfig(**{**cfg.__dict__, field: value})
+
     def test_base_below_floor_allowed(self):
         # floor-dwelling calm months rely on this
         cfg = calm_zone_config(base_price=0.20)
@@ -106,6 +124,16 @@ class TestGeneration:
         with pytest.raises(ValueError):
             generate_zones({"za": cfg}, 100, rng,
                            hazard_envelopes={"za": -np.ones(100)})
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_hazard_rejected(self, bad):
+        # a NaN multiplier used to make the zone spike at every step
+        cfg = volatile_zone_config()
+        env = np.ones(100)
+        env[40] = bad
+        with pytest.raises(ValueError, match="hazard multipliers must be finite"):
+            generate_zones({"za": cfg}, 100, np.random.default_rng(0),
+                           hazard_envelopes={"za": env})
 
     def test_hazard_envelope_damps_spikes(self):
         cfg = volatile_zone_config(spike_prob=0.05)

@@ -72,6 +72,12 @@ class TestReadEvents:
         with pytest.raises(TraceError):
             read_price_events(io.StringIO(bad))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_price_rejected_with_line_number(self, bad):
+        row = f"2013-01-01T03:00:00Z,us-east-1a,cc2.8xlarge,Linux/UNIX,{bad}\n"
+        with pytest.raises(TraceError, match=r"line 7: non-finite price"):
+            read_price_events(io.StringIO(CSV + row))
+
 
 class TestResample:
     def test_forward_fill(self):
