@@ -73,8 +73,8 @@ def test_batched_bid_axis_speedup(benchmark, bench_experiments):
     per_bid_s = time.perf_counter() - t0
 
     batched_runner = ExperimentRunner("low", num_experiments=n)
-    (batched,) = benchmark(
-        batched_runner.run_cube, "periodic", [config], BID_GRID
+    ((batched,),) = benchmark(
+        batched_runner.run_cube, ["periodic"], [config], BID_GRID
     )
     assert batched == per_bid  # identical records at every bid
 

@@ -77,7 +77,7 @@ def _per_shape_grids(runner: ExperimentRunner, shapes, zones) -> dict:
     """One fused (bid x start) tile per (shape, policy): shapes in
     sequence, each tile re-deriving its own zone dynamics."""
     return {
-        label: [runner.run_cube(label, [cfg], CUBE_BIDS, zones=zones)[0]
+        label: [runner.run_cube([label], [cfg], CUBE_BIDS, zones=zones)[0][0]
                 for cfg in shapes]
         for label in CUBE_POLICIES
     }
@@ -86,7 +86,7 @@ def _per_shape_grids(runner: ExperimentRunner, shapes, zones) -> dict:
 def _cube_sweep(runner: ExperimentRunner, shapes, zones) -> dict:
     """One fused (shape x bid x start) cube per policy cell."""
     return {
-        label: runner.run_cube(label, shapes, CUBE_BIDS, zones=zones)
+        label: runner.run_cube([label], shapes, CUBE_BIDS, zones=zones)[0]
         for label in CUBE_POLICIES
     }
 

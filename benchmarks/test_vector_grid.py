@@ -69,7 +69,8 @@ def _grid_sweep(runner: ExperimentRunner, config) -> dict:
     zones = runner.trace.zone_names[:1]
     out = {}
     for label in GRID_POLICIES:
-        (cell,) = runner.run_cube(label, [config], GRID_BIDS, zones=zones)
+        ((cell,),) = runner.run_cube([label], [config], GRID_BIDS,
+                                     zones=zones)
         for bid in GRID_BIDS:
             out[(label, bid)] = cell[bid]
     out[("naive", None)] = runner.run_large_bid(config, None,

@@ -18,11 +18,12 @@ simulation time, zone and event kind where the engines disagree.
 
 :func:`vector_differential_cube` extends the same contract to the
 struct-of-arrays batch engine (:mod:`repro.core.vector_engine`): a
-(shape x bid x start) cube — a single start axis or a fused
+(policy x shape x bid x start) cube — a single start axis or a fused
 (bid x start) tile being a cube with some axes of length 1 — runs once
 through the vector engine and once through per-run audited fast
 simulations, and every row is diffed field by field — RunResults,
-engine event logs, and the vector log against the scalar side's
+engine event logs, per-row RNG draw counts (final generator states),
+and the vector log against the scalar side's
 *audited* stream (meta and transition events filtered out), so the
 batch path is held to the exact event sequence the audit layer
 certifies.  Bid-equivalence clone rows are each held to a fully
@@ -310,6 +311,7 @@ def _replay_and_diff(
     run_scalar: Callable,
     run_vector: Callable,
     where: Callable[[int], str],
+    clone_of: Sequence[int | None] | None = None,
 ) -> VectorDifferentialReport:
     """Run every row through an audited fast simulator, then the whole
     batch through the vector engine, and diff them row by row.
@@ -318,8 +320,11 @@ def _replay_and_diff(
     simulator; ``run_vector(vec, rngs)`` serves every row at once.
     Both sides get their own fresh oracle and the same per-row RNG
     streams.  Each row is diffed on its RunResult fields (event logs
-    ride along) and on its vector log against the audited stream;
-    ``where(i)`` names the row in the diffs.
+    ride along), on its vector log against the audited stream and on
+    its RNG's final state (the queue-delay draw count); a row cloned
+    from ``clone_of[i]`` draws nothing itself, so its scalar stream is
+    held to its representative's.  ``where(i)`` names the row in the
+    diffs.
     """
     from repro.core.engine import SpotSimulator
     from repro.core.vector_engine import VectorSimulator
@@ -332,7 +337,8 @@ def _replay_and_diff(
     auditor = RunAuditor(sink=sink, strict=False)
     fast_results = []
     audited_streams: list[list[AuditEvent]] = []
-    for i, rng in enumerate(_row_rngs(seed, row_starts)):
+    fast_rngs = _row_rngs(seed, row_starts)
+    for i, rng in enumerate(fast_rngs):
         before = len(sink.events)
         sim = SpotSimulator(
             oracle=fast_oracle, queue_model=qm, rng=rng,
@@ -345,7 +351,8 @@ def _replay_and_diff(
     vec = VectorSimulator(
         oracle=PriceOracle(trace), queue_model=qm, record_events=True
     )
-    vector_results = run_vector(vec, _row_rngs(seed, row_starts))
+    vector_rngs = _row_rngs(seed, row_starts)
+    vector_results = run_vector(vec, vector_rngs)
 
     report = VectorDifferentialReport(
         fast_audit=fast_audit,
@@ -363,6 +370,13 @@ def _replay_and_diff(
                 v.events, audited_streams[i], where=f"{label}.event"
             )
         )
+        rep = i if clone_of is None or clone_of[i] is None else clone_of[i]
+        v_state = vector_rngs[rep].bit_generator.state
+        f_state = fast_rngs[i].bit_generator.state
+        if v_state != f_state:
+            report.result_diffs.append(
+                FieldDiff(label, "rng_state", v_state, f_state)
+            )
     return report
 
 
@@ -423,7 +437,7 @@ def vector_differential_adaptive(
 def vector_differential_cube(
     trace,
     configs: Sequence,
-    policy_factory: Callable[[], object],
+    policy_factories: Sequence[Callable[[], object]],
     bids: Sequence[float],
     zones: tuple[str, ...],
     starts_per_shape: Sequence[Sequence[float]],
@@ -431,46 +445,54 @@ def vector_differential_cube(
     queue_model=None,
     seed: int = 0,
 ) -> VectorDifferentialReport:
-    """Replay a fused (shape x bid x start) cube and diff it row by row.
+    """Replay a fused (policy x shape x bid x start) cube and diff it
+    row by row.
 
     Rows and the availability-equivalence clone plan come from
     :func:`~repro.core.bid_batch.cube_rows`, the layout
-    ``ExperimentRunner.run_cube_cell`` feeds the engine: shape-major
-    over per-shape (bid x start) tiles, start-major within a tile, with
-    clones resolved per (shape, start) so they never cross shapes.
-    The scalar side simulates *every* row
-    independently through an audited fast engine at that row's own
+    ``ExperimentRunner.run_cube_cell`` feeds the engine: policy-major
+    over per-policy blocks, shape-major over per-shape (bid x start)
+    tiles within a block, start-major within a tile, with clones
+    resolved per (policy, shape, start) so they never cross policies
+    or shapes.  The scalar side simulates *every* row independently
+    through an audited fast engine at that row's own policy,
     :class:`~repro.app.workload.ExperimentConfig` and bid: cloned rows
     are held to a full independent run at their own (bid, start), not
     merely to the representative they were copied from, and sharing
-    the zone-dynamics column work across the shape ladder must leave
-    each shape's RunResults, event logs and queue-delay draw sequences
-    exactly what standalone runs at that shape produce.  A single
-    start axis is the cube ``([config], [bid], [starts])``.
+    the round loop across the policy axis and the shape ladder must
+    leave each row's RunResult, event log and queue-delay draw count
+    exactly what a standalone run produces.  A single start axis under
+    one policy is the cube ``([config], [factory], [bid], [starts])``.
     """
     from repro.core.bid_batch import cube_rows
 
     configs = list(configs)
+    factories = list(policy_factories)
     zones = tuple(zones)
     rows = cube_rows(
         trace, zones, [float(b) for b in bids], starts_per_shape,
-        [cfg.deadline_s for cfg in configs], policy_factory,
+        [cfg.deadline_s for cfg in configs], factories,
     )
     shape_idx, row_bids, row_starts = rows.shape_idx, rows.bids, rows.starts
+    policy_idx = rows.policy_idx
 
     def run_scalar(sim, i):
         return sim.run(
-            configs[shape_idx[i]], policy_factory(), row_bids[i], zones,
-            row_starts[i],
+            configs[shape_idx[i]], factories[policy_idx[i]](), row_bids[i],
+            zones, row_starts[i],
         )
 
     def run_vector(vec, rngs):
         return vec.run_cube(
-            configs, policy_factory, zones, shape_idx, row_bids, row_starts,
-            rngs, clone_of=rows.clone_of,
+            configs, factories, zones, shape_idx, row_bids, row_starts,
+            rngs, clone_of=rows.clone_of, policy_idx=policy_idx,
         )
 
     return _replay_and_diff(
         trace, queue_model, seed, row_starts, run_scalar, run_vector,
-        lambda i: f"row[{i}](shape={shape_idx[i]},bid={row_bids[i]:.2f})",
+        lambda i: (
+            f"row[{i}](policy={policy_idx[i]},shape={shape_idx[i]},"
+            f"bid={row_bids[i]:.2f})"
+        ),
+        rows.clone_of,
     )

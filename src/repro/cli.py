@@ -264,9 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "value (default: 0.5)")
     p.add_argument("--deadlines", default=None,
                    help="comma-separated deadlines in hours; builds the "
-                        "whole ladder as one surface *family* — a single "
-                        "(shape x bid x start) cube pass through the vector "
-                        "engine emits one artifact per deadline "
+                        "whole ladder as one surface *family* — one "
+                        "(policy x shape x bid x start) cube per zone count "
+                        "through the vector engine emits one artifact per "
+                        "deadline "
                         "(mutually exclusive with --slack)")
     p.add_argument("--tc", type=float, default=300.0,
                    help="checkpoint (= restart) cost in seconds")

@@ -17,12 +17,12 @@ is reduced to its ``searchsorted`` count of samples at or below the
 bid.  For bids sorted ascending, equal counts mean no sample lies
 between the two bids, which is exactly pattern equality — so the
 classes are contiguous runs of equal count signatures.
-:func:`cube_rows` lays out a (shape x bid x start) cube's rows and turns
-the classes into the vector engine's clone plan: one representative row
-per (class, shape, start) simulates and the other members are cloned
-with only the bid rewritten.  The runner's cube cells
-(:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`) and the
-differential harness share it.
+:func:`cube_rows` lays out a (policy x shape x bid x start) cube's rows
+and turns the classes into the vector engine's clone plan: one
+representative row per (class, policy, shape, start) simulates and the
+other members are cloned with only the bid rewritten.  The runner's
+cube cells (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`)
+and the differential harness share it.
 """
 
 from __future__ import annotations
@@ -103,24 +103,28 @@ def bid_equivalence_classes(
 
 @dataclass(frozen=True)
 class CubeRows:
-    """Row layout of a (shape x bid x start) cube and its clone plan.
+    """Row layout of a (policy x shape x bid x start) cube and its
+    clone plan.
 
-    Rows run shape-major, then start, then bid: row :meth:`row`
-    ``(k, si, bj)`` simulates start ``si`` of shape ``k`` at bid ``bj``.
-    ``clone_of[row]`` is the representative row a cloned row copies
-    (``None``: the row simulates); ``clone_of`` is ``None`` when no row
-    clones.
+    Rows run policy-major, then shape, then start, then bid: row
+    :meth:`row` ``(p, k, si, bj)`` simulates start ``si`` of shape
+    ``k`` at bid ``bj`` under policy ``p``.  ``clone_of[row]`` is the
+    representative row a cloned row copies (``None``: the row
+    simulates); ``clone_of`` is ``None`` when no row clones.
     """
 
+    policy_idx: list[int]
     shape_idx: list[int]
     bids: list[float]
     starts: list[float]
     clone_of: list[int | None] | None
     row0: list[int]
     num_bids: int
+    #: Rows per policy.
+    block: int
 
-    def row(self, k: int, si: int, bj: int) -> int:
-        return self.row0[k] + si * self.num_bids + bj
+    def row(self, p: int, k: int, si: int, bj: int) -> int:
+        return p * self.block + self.row0[k] + si * self.num_bids + bj
 
 
 def cube_rows(
@@ -129,14 +133,17 @@ def cube_rows(
     bids: Sequence[float],
     starts_per_shape: Sequence[Sequence[float]],
     deadlines: Sequence[float],
-    policy_factory: Callable[[], object] | None = None,
+    policy_factories: Sequence[Callable[[], object] | None],
 ) -> CubeRows:
     """Lay out a cube's rows and resolve its clone plan.
 
-    Cloning needs more than one bid and a bid-invariant policy from
-    ``policy_factory`` (``None``: a controller-driven cube, which never
-    clones); the classes are then resolved per (shape, start) over
-    ``zones`` and the shape's deadline, so clones never cross shapes.
+    Every policy of ``policy_factories`` gets the same (shape x start
+    x bid) block of rows.  A ``None`` factory stands for a
+    controller-driven policy, which never clones; cloning otherwise
+    needs more than one bid and a bid-invariant policy.  The classes
+    are resolved once per (shape, start) over ``zones`` and the shape's
+    deadline and applied within each bid-invariant policy's block, so
+    clones never cross policies or shapes.
     """
     nb = len(bids)
     shape_idx: list[int] = []
@@ -150,22 +157,38 @@ def cube_rows(
                 shape_idx.append(k)
                 row_bids.append(bid)
                 row_starts.append(float(start))
+    block = len(row_starts)
+    npol = len(policy_factories)
+    invariant = [
+        p for p, factory in enumerate(policy_factories)
+        if factory is not None
+        and getattr(factory(), "bid_invariant", False)
+    ]
     clone_of = None
-    if (
-        nb > 1
-        and policy_factory is not None
-        and getattr(policy_factory(), "bid_invariant", False)
-    ):
+    if nb > 1 and invariant:
         bcol = {bid: j for j, bid in enumerate(bids)}
-        clone_of = [None] * len(row_bids)
+        clone_of = [None] * (block * npol)
         for k, shape_starts in enumerate(starts_per_shape):
             for si, start in enumerate(shape_starts):
                 base = row0[k] + si * nb
                 for cls in bid_equivalence_classes(
                     trace, zones, bids, float(start), deadlines[k]
                 ):
-                    rep_row = base + bcol[cls.representative]
+                    rep = base + bcol[cls.representative]
                     for bid in cls.members:
-                        if bid != cls.representative:
-                            clone_of[base + bcol[bid]] = rep_row
-    return CubeRows(shape_idx, row_bids, row_starts, clone_of, row0, nb)
+                        if bid == cls.representative:
+                            continue
+                        for p in invariant:
+                            clone_of[p * block + base + bcol[bid]] = (
+                                p * block + rep
+                            )
+    return CubeRows(
+        policy_idx=[p for p in range(npol) for _ in range(block)],
+        shape_idx=shape_idx * npol,
+        bids=row_bids * npol,
+        starts=row_starts * npol,
+        clone_of=clone_of,
+        row0=row0,
+        num_bids=nb,
+        block=block,
+    )

@@ -9,7 +9,7 @@ derived from the start offset alone
 work unit observes another's randomness.  There are two fan-outs:
 :meth:`SweepExecutor.map_cells` ships per-run ``(task, start)`` units,
 and :meth:`SweepExecutor.map_cube` ships contiguous start-chunks of a
-vectorised (shape x bid x start) cube.
+vectorised (policy x shape x bid x start) cube.
 
 Design:
 
@@ -141,9 +141,9 @@ def _run_cell(task: CellTask, start: float) -> tuple:
 def _run_cube_chunk(
     task: CellTask, configs: tuple, bids: tuple, starts_per_shape: tuple
 ) -> tuple:
-    """Worker entry point for one start-chunk of a fused (shape x bid x
-    start) cube: every shape's slice of the chunk advances in one
-    lockstep pass
+    """Worker entry point for one start-chunk of a fused (policy x shape
+    x bid x start) cube: every policy's and shape's slice of the chunk
+    advances in one lockstep pass per zone wave
     (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell`)."""
     if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker pool used before initialization")
@@ -235,18 +235,20 @@ class SweepExecutor:
         configs: Sequence,
         bids: Sequence[float],
         starts_per_shape: Sequence[Sequence[float]],
-    ) -> list[dict[float, list[RunRecord]]]:
-        """Run a fused (shape x bid x start) cube over the pool — every
-        vectorised cell, a single-bid start axis included.
+    ) -> list[list[dict[float, list[RunRecord]]]]:
+        """Run a fused (policy x shape x bid x start) cube over the
+        pool — every vectorised cell, a single-bid start axis included.
 
         Every shape's start grid splits into one contiguous chunk per
         worker (start order preserved); chunk w carries shape k's w-th
-        slice for *all* shapes, so each worker still advances a full
-        shape ladder in one lockstep pass
+        slice for *all* shapes and all of the task's policies, so each
+        worker still advances the whole policy axis and shape ladder in
+        one lockstep pass per zone wave
         (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell`)
         and the zone-dynamics column sharing survives the fan-out.  The
-        ordered merge reproduces, per shape, the serial fused tile —
-        and therefore per-bid scalar runs — record for record.
+        ordered merge reproduces, per policy and shape, the serial
+        fused tile — and therefore per-bid scalar runs — record for
+        record.
         """
         pool = self._ensure_pool()
         configs = tuple(configs)
@@ -269,14 +271,16 @@ class SweepExecutor:
             pool.submit(_run_cube_chunk, task, configs, bids, per_shape)
             for per_shape in chunks
         ]
-        out: list[dict[float, list[RunRecord]]] = [
-            {bid: [] for bid in bids} for _ in configs
-        ]
+        out: list[list[dict[float, list[RunRecord]]]] = []
         for future in futures:
             cell, *extras = future.result()
-            for k, pairs in enumerate(cell):
-                for bid, records in pairs:
-                    out[k][bid].extend(records)
+            if not out:
+                out = [[{bid: [] for bid in bids} for _ in configs]
+                       for _ in cell]
+            for p, per_shape in enumerate(cell):
+                for k, pairs in enumerate(per_shape):
+                    for bid, records in pairs:
+                        out[p][k][bid].extend(records)
             self._absorb_extras(*extras)
         return out
 

@@ -123,8 +123,8 @@ def sweep_bid(
     runner = _with_workers(runner, workers)
     config = paper_experiment(slack_fraction=slack_fraction,
                               ckpt_cost_s=ckpt_cost_s)
-    (axis,) = runner.run_cube(
-        policy_label, [config], bids, redundant=redundant
+    ((axis,),) = runner.run_cube(
+        [policy_label], [config], bids, redundant=redundant
     )
     return [_point(float(b), axis[float(b)]) for b in dict.fromkeys(bids)]
 

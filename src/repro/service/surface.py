@@ -5,8 +5,8 @@ one volatility window — evaluated over the full
 (policy x bid x zone-count) decision grid, each cell aggregated over
 the window's overlapping start offsets exactly as the paper's figures
 aggregate them.  Heavy lifting happens once, offline, through
-:meth:`ExperimentRunner.run_cube` — one lockstep pass per (policy,
-zone-set) cell over a whole deadline ladder of specs
+:meth:`ExperimentRunner.run_cube` — one lockstep pass per zone set,
+every policy over a whole deadline ladder of specs
 (:meth:`SurfaceBuilder.build_family`; a single surface is a ladder of
 one) — with the content-addressed run cache as the persistence layer
 (a rebuild over a warm cache is hit-only); the result is a small,
@@ -403,15 +403,16 @@ class SurfaceBuilder:
             self._vector_stats.merge(stats)
 
     def build_family(self, specs: Sequence[SurfaceSpec]) -> list[PolicySurface]:
-        """Evaluate a whole shape ladder in one cube pass per cell.
+        """Evaluate a whole shape ladder in one cube per zone count.
 
         The specs must share every grid axis — window, policies, bids,
         zone counts, experiment count and seed — and differ only in job
         shape (compute, deadline, checkpoint/restart costs): a deadline
-        ladder is the canonical family.  Each (policy, zone-set) cell
-        then advances the *entire* ladder through
-        :meth:`ExperimentRunner.run_cube` in a single lockstep pass —
-        shape rows share the zone-dynamics column work — and one
+        ladder is the canonical family.  Each zone count then advances
+        every policy over the *entire* ladder through
+        :meth:`ExperimentRunner.run_cube` in one lockstep pass per zone
+        wave — policy and shape rows share the zone-dynamics column
+        work — and one
         versioned artifact is emitted per spec, each bit-identical to
         what a one-spec family of that spec would produce; a single
         surface is ``build_family([spec])[0]``.  ``build_seconds`` on
@@ -441,16 +442,19 @@ class SurfaceBuilder:
             engine_mode=self.engine_mode,
             cache_dir=self._cache_dir(),
         ) as runner:
-            for policy in head.policies:
-                for n in head.zone_counts:
-                    per_shape = runner.run_cube(
-                        policy,
-                        configs,
-                        head.bids,
-                        redundant=n > 1,
-                        num_zones=n,
-                    )
-                    for k, per_bid in enumerate(per_shape):
+            per_count = [
+                runner.run_cube(
+                    head.policies,
+                    configs,
+                    head.bids,
+                    redundant=n > 1,
+                    num_zones=n,
+                )
+                for n in head.zone_counts
+            ]
+            for p, policy in enumerate(head.policies):
+                for n, per_policy in zip(head.zone_counts, per_count):
+                    for k, per_bid in enumerate(per_policy[p]):
                         for bid in head.bids:
                             cells[k].append(
                                 SurfaceCell.from_records(

@@ -291,7 +291,15 @@ def generate_zones(
     cfgs = [configs[name] for name in names]
     envelopes: list[np.ndarray | None] = [None] * n_zones
     if hazard_envelopes is not None:
+        for key in hazard_envelopes:
+            if key not in configs:
+                raise ValueError(
+                    f"hazard envelope for unknown zone {key!r}; "
+                    f"zones are {names}"
+                )
         for j, name in enumerate(names):
+            if name not in hazard_envelopes:
+                raise ValueError(f"no hazard envelope for zone {name!r}")
             env = np.asarray(hazard_envelopes[name], dtype=np.float64)
             if env.shape != (num_samples,):
                 raise ValueError(

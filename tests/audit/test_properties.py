@@ -30,10 +30,10 @@ prices = st.floats(min_value=0.05, max_value=3.0)
 
 
 @st.composite
-def price_traces(draw):
-    """Two-zone piecewise-constant traces of equal length."""
+def price_traces(draw, zones=("za", "zb")):
+    """Piecewise-constant traces of equal length over ``zones``."""
     per_zone = {}
-    for zone in ("za", "zb"):
+    for zone in zones:
         segments = []
         remaining = TRACE_SAMPLES
         for _ in range(draw(st.integers(1, 5))):

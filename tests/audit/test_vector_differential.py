@@ -64,7 +64,7 @@ def test_vector_differential_identical(
     zone = trace.zone_names[0]
     starts = [eval_start + k * 7200.0 for k in range(4)]
     report = vector_differential_cube(
-        trace, [config], factory, [bid], (zone,), [starts]
+        trace, [config], [factory], [bid], (zone,), [starts]
     )
     assert report.ok, "\n".join(report.summary_lines())
     assert len(report.vector_results) == len(starts)
@@ -80,7 +80,7 @@ def test_vector_differential_over_bid_grid(low_window, config):
     for factory in (PeriodicPolicy, RisingEdgePolicy):
         for bid in (0.27, 0.35, 0.81, 2.40):
             report = vector_differential_cube(
-                trace, [config], factory, [bid], (zone,), [starts]
+                trace, [config], [factory], [bid], (zone,), [starts]
             )
             assert report.ok, "\n".join(report.summary_lines())
 
@@ -96,7 +96,8 @@ def test_vector_differential_multi_zone(
     zones = trace.zone_names[:3]
     starts = [eval_start, eval_start + 10800.0]
     report = vector_differential_cube(
-        trace, [config], POLICY_FACTORIES[label], [0.40], zones, [starts]
+        trace, [config], [POLICY_FACTORIES[label]], [0.40], zones,
+        [starts]
     )
     assert report.ok, "\n".join(report.summary_lines())
     assert all(r.zones == tuple(zones) for r in report.vector_results)
@@ -120,7 +121,7 @@ def test_vector_differential_fused_grid(
     bids = [0.27, 0.35, 0.81]
     starts = [eval_start, eval_start + 14400.0]
     report = vector_differential_cube(
-        trace, [config], factory, bids, (zone,), [starts]
+        trace, [config], [factory], bids, (zone,), [starts]
     )
     assert report.ok, "\n".join(report.summary_lines())
     assert len(report.vector_results) == len(bids) * len(starts)
@@ -131,7 +132,7 @@ def test_vector_differential_grid_multi_zone(low_window, config):
     trace, eval_start = low_window
     zones = trace.zone_names[:2]
     report = vector_differential_cube(
-        trace, [config], PeriodicPolicy, [0.27, 0.81], zones,
+        trace, [config], [PeriodicPolicy], [0.27, 0.81], zones,
         [[eval_start, eval_start + 7200.0]],
     )
     assert report.ok, "\n".join(report.summary_lines())
@@ -145,7 +146,7 @@ def test_vector_differential_grid_fractional_starts(low_window, config):
     trace, eval_start = low_window
     zone = trace.zone_names[0]
     report = vector_differential_cube(
-        trace, [config], MarkovDalyPolicy, [0.40, 0.81], (zone,),
+        trace, [config], [MarkovDalyPolicy], [0.40, 0.81], (zone,),
         [[eval_start, eval_start + 150.5]],
     )
     assert report.ok, "\n".join(report.summary_lines())
@@ -157,7 +158,7 @@ def test_vector_differential_fractional_start_axis(low_window, config):
     trace, eval_start = low_window
     zone = trace.zone_names[0]
     report = vector_differential_cube(
-        trace, [config], PeriodicPolicy, [0.27], (zone,),
+        trace, [config], [PeriodicPolicy], [0.27], (zone,),
         [[eval_start + 0.5, eval_start + 150.5, eval_start + 7200.0]],
     )
     assert report.ok, "\n".join(report.summary_lines())
@@ -175,7 +176,7 @@ def test_vector_differential_large_bid(
     starts = [eval_start + k * 7200.0 for k in range(3)]
     report = vector_differential_cube(
         trace, [config],
-        lambda: LargeBidPolicy(threshold),
+        [lambda: LargeBidPolicy(threshold)],
         [LARGE_BID], (zone,), [starts],
     )
     assert report.ok, "\n".join(report.summary_lines())
@@ -226,7 +227,7 @@ def test_native_shapes_hold_on_random_traces(trace, bid, policy_label,
     and two-zone cells) matches audited per-run fast simulation on
     random piecewise traces."""
     report = vector_differential_cube(
-        trace, [small_config()], POLICY_FACTORIES[policy_label], [bid],
+        trace, [small_config()], [POLICY_FACTORIES[policy_label]], [bid],
         ("za", "zb")[:num_zones], [[0.0, 7200.0]],
         queue_model=FixedQueueDelay(300.0),
     )
@@ -244,7 +245,7 @@ def test_fused_grid_holds_on_random_traces(trace, policy_label, num_zones):
     """Hypothesis: fused (bid x start) tiles — clone plans included —
     match independent audited runs on random piecewise traces."""
     report = vector_differential_cube(
-        trace, [small_config()], POLICY_FACTORIES[policy_label],
+        trace, [small_config()], [POLICY_FACTORIES[policy_label]],
         [0.27, 0.5, 0.81], ("za", "zb")[:num_zones], [[0.0, 3600.0]],
         queue_model=FixedQueueDelay(300.0),
     )
@@ -281,7 +282,7 @@ def test_report_flags_divergence(low_window, config):
     trace, eval_start = low_window
     zone = trace.zone_names[0]
     report = vector_differential_cube(
-        trace, [config], PeriodicPolicy, [0.27], (zone,), [[eval_start]]
+        trace, [config], [PeriodicPolicy], [0.27], (zone,), [[eval_start]]
     )
     assert report.identical
     good = report.vector_results[0]

@@ -253,7 +253,7 @@ def test_runner_engine_mode_records_identical():
         task = CellTask(
             kind="single-zone",
             config=paper_experiment(slack_fraction=0.15),
-            policy_label="markov-daly",
+            policies=("markov-daly",),
             bid=0.81,
             zones=runner.trace.zone_names[:1],
         )

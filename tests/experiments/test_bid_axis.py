@@ -90,7 +90,7 @@ class TestEquivalenceClasses:
 
 def _axis(runner, label, config, bids, **kwargs):
     """One shape's bid axis through the cube."""
-    (axis,) = runner.run_cube(label, [config], bids, **kwargs)
+    ((axis,),) = runner.run_cube([label], [config], bids, **kwargs)
     return axis
 
 
@@ -113,7 +113,7 @@ class TestBatchedEqualsPerBid:
         axis = _axis(runner, "periodic", config, BIDS)
         for bid in BIDS:
             task = CellTask(kind="single-zone", config=config,
-                            policy_label="periodic", bid=bid,
+                            policies=("periodic",), bid=bid,
                             zones=runner.trace.zone_names)
             assert axis[bid] == [
                 r for s in runner.starts(config) for r in runner.run_cell(task, s)

@@ -34,10 +34,10 @@ LADDER = [
 BIDS = [0.27, 0.81]
 
 ENTRY_POINTS = {
-    "cube": lambda r: r.run_cube("periodic", LADDER, BIDS),
-    "grid": lambda r: r.run_cube("markov-daly", [CONFIG], BIDS),
-    "start-axis": lambda r: r.run_cube("periodic", [CONFIG], [0.81]),
-    "bid-axis": lambda r: r.run_cube("periodic", [CONFIG], BIDS),
+    "cube": lambda r: r.run_cube(["periodic"], LADDER, BIDS),
+    "grid": lambda r: r.run_cube(["markov-daly"], [CONFIG], BIDS),
+    "start-axis": lambda r: r.run_cube(["periodic"], [CONFIG], [0.81]),
+    "bid-axis": lambda r: r.run_cube(["periodic"], [CONFIG], BIDS),
     "per-run-cells": lambda r: r.run_single_zone("edge", CONFIG, 0.81),
     "adaptive": lambda r: r.run_adaptive(LADDER[1]),
 }
@@ -100,7 +100,7 @@ def test_build_family_flushes(tmp_path):
     fresh = RunCache(cache_dir)
     runner = ExperimentRunner("low", num_experiments=3, cache=fresh)
     for n in (1, 2):  # the family's cells, replayed through the cube
-        runner.run_cube("periodic", LADDER, BIDS, redundant=n > 1,
+        runner.run_cube(["periodic"], LADDER, BIDS, redundant=n > 1,
                         num_zones=n)
     _assert_all_disk_hits(fresh)
 

@@ -37,7 +37,7 @@ class TestRunGridEquivalence:
     def test_single_zone_matches_per_bid(
         self, vector_runner, fast_runner, config, label
     ):
-        (grid,) = vector_runner.run_cube(label, [config], BIDS)
+        ((grid,),) = vector_runner.run_cube([label], [config], BIDS)
         for bid in BIDS:
             assert grid[bid] == fast_runner.run_single_zone(
                 label, config, bid
@@ -47,8 +47,8 @@ class TestRunGridEquivalence:
     def test_redundant_matches_per_bid(
         self, vector_runner, fast_runner, config, label
     ):
-        (grid,) = vector_runner.run_cube(
-            label, [config], BIDS, redundant=True, num_zones=2
+        ((grid,),) = vector_runner.run_cube(
+            [label], [config], BIDS, redundant=True, num_zones=2
         )
         for bid in BIDS:
             assert grid[bid] == fast_runner.run_redundant(
@@ -56,8 +56,8 @@ class TestRunGridEquivalence:
             )
 
     def test_duplicate_bids_collapse(self, vector_runner, config):
-        (grid,) = vector_runner.run_cube(
-            "periodic", [config], (0.81, 0.81, 0.27)
+        ((grid,),) = vector_runner.run_cube(
+            ["periodic"], [config], (0.81, 0.81, 0.27)
         )
         assert set(grid) == {0.81, 0.27}
 
@@ -66,8 +66,8 @@ class TestRunGridEquivalence:
         with ExperimentRunner(
             "low", num_experiments=3, engine_mode="vector", workers=2
         ) as par:
-            assert par.run_cube("markov-daly", [config], BIDS) == \
-                vector_runner.run_cube("markov-daly", [config], BIDS)
+            assert par.run_cube(["markov-daly"], [config], BIDS) == \
+                vector_runner.run_cube(["markov-daly"], [config], BIDS)
 
 
 class TestFallbacks:
@@ -86,7 +86,7 @@ class TestFallbacks:
             "low", num_experiments=2, engine_mode="vector", audit=True,
         )
         plain = ExperimentRunner("low", num_experiments=2)
-        (grid,) = audited.run_cube("periodic", [config], (0.27, 0.81))
+        ((grid,),) = audited.run_cube(["periodic"], [config], (0.27, 0.81))
         for bid in (0.27, 0.81):
             assert grid[bid] == plain.run_single_zone(
                 "periodic", config, bid
@@ -100,7 +100,7 @@ class TestVectorStats:
     def test_drain_reports_and_resets(self, config):
         runner = ExperimentRunner("low", num_experiments=3,
                                   engine_mode="vector")
-        runner.run_cube("periodic", [config], BIDS)
+        runner.run_cube(["periodic"], [config], BIDS)
         stats = runner.drain_vector_stats()
         assert stats is not None and stats.total > 0
         assert stats.native > 0

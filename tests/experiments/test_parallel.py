@@ -62,7 +62,7 @@ class TestIdenticalRecords:
 class TestExecutor:
     def test_map_cells_orders_by_start(self, serial, config):
         task = CellTask(kind="redundant", config=config,
-                        policy_label="periodic", bid=0.81)
+                        policies=("periodic",), bid=0.81)
         starts = [float(s) for s in serial.starts(config)]
         with SweepExecutor("low", num_experiments=5, workers=2) as ex:
             records = ex.map_cells(task, starts)
@@ -119,7 +119,7 @@ class TestDrainCacheStatsContract:
         starts = [float(serial.starts(config)[0])]
         with SweepExecutor("low", num_experiments=3, workers=2) as ex:
             task = CellTask(kind="redundant", config=config,
-                            policy_label="periodic", bid=0.81)
+                            policies=("periodic",), bid=0.81)
             ex.map_cells(task, starts)
             assert ex.drain_cache_stats() is None
 
@@ -128,7 +128,7 @@ class TestDrainCacheStatsContract:
         with SweepExecutor("low", num_experiments=3, workers=2,
                            cache_dir=str(tmp_path)) as ex:
             task = CellTask(kind="redundant", config=config,
-                            policy_label="periodic", bid=0.81)
+                            policies=("periodic",), bid=0.81)
             ex.map_cells(task, starts)
             stats = ex.drain_cache_stats()
             assert stats is not None

@@ -80,14 +80,15 @@ def test_run_start_axis_equals_run_single_zone(fast_runner, config):
     """A one-bid cube is batched on any runner and matches the per-run
     grid."""
     a = fast_runner.run_single_zone("edge", config, 0.81)
-    (b,) = fast_runner.run_cube("edge", [config], [0.81])
+    ((b,),) = fast_runner.run_cube(["edge"], [config], [0.81])
     assert a == b[0.81]
 
 
 def test_run_start_axis_subset_of_zones(fast_runner, config):
     zones = fast_runner.trace.zone_names[:1]
     a = fast_runner.run_single_zone("periodic", config, 0.81, zones=zones)
-    (b,) = fast_runner.run_cube("periodic", [config], [0.81], zones=zones)
+    ((b,),) = fast_runner.run_cube(["periodic"], [config], [0.81],
+                                   zones=zones)
     assert a == b[0.81]
     assert all(r.result.zones == tuple(zones) for r in b[0.81])
 
@@ -103,7 +104,7 @@ def test_start_axis_cells_serves_adaptive(fast_runner, config):
     decisions, same records as per-start serial cells."""
     task = CellTask(kind="adaptive", config=config)
     starts = [float(s) for s in fast_runner.starts(config)[:3]]
-    batched = fast_runner.run_start_axis_cells(task, starts)
+    (batched,) = fast_runner.run_start_axis_cells(task, starts)
     serial = [r for s in starts for r in fast_runner.run_cell(task, s)]
     assert batched == serial
     assert all(r.label == "adaptive" for r in batched)
@@ -115,7 +116,7 @@ def test_start_axis_cells_serves_large_bid(fast_runner, config):
     task = CellTask(kind="large-bid", config=config, threshold=0.81,
                     zones=fast_runner.trace.zone_names)
     starts = [float(s) for s in fast_runner.starts(config)[:2]]
-    batched = fast_runner.run_start_axis_cells(task, starts)
+    (batched,) = fast_runner.run_start_axis_cells(task, starts)
     serial = [r for s in starts for r in fast_runner.run_cell(task, s)]
     assert batched == serial
 
@@ -123,9 +124,9 @@ def test_start_axis_cells_serves_large_bid(fast_runner, config):
 def test_start_axis_cells_serves_redundant(fast_runner, config):
     """Merged multi-zone cells run natively as one batch."""
     task = CellTask(kind="redundant", config=config,
-                    policy_label="periodic", bid=0.27, num_zones=2)
+                    policies=("periodic",), bid=0.27, num_zones=2)
     starts = [float(s) for s in fast_runner.starts(config)[:3]]
-    batched = fast_runner.run_start_axis_cells(task, starts)
+    (batched,) = fast_runner.run_start_axis_cells(task, starts)
     serial = [r for s in starts for r in fast_runner.run_cell(task, s)]
     assert batched == serial
     assert all(r.label == "periodic-r2" for r in batched)

@@ -108,8 +108,8 @@ class TestWarmPath:
         ) as runner:
             for policy in spec.policies:
                 for n in spec.zone_counts:
-                    (per_bid,) = runner.run_cube(
-                        policy, [config], spec.bids,
+                    ((per_bid,),) = runner.run_cube(
+                        [policy], [config], spec.bids,
                         redundant=n > 1, num_zones=n,
                     )
                     for bid in spec.bids:

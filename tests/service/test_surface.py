@@ -239,3 +239,22 @@ class TestStore:
             (store.root / "runcache").glob("*.seg")
         )
         assert cache_files
+
+
+def test_family_policy_axis_parallel_equals_serial(tmp_path):
+    """One cube per zone count carries every policy; a 2-worker family
+    build splits it into start chunks and must merge back to the serial
+    artifacts, cell for cell, in the (policy, zone count, bid) order."""
+    specs = [
+        SurfaceSpec(**{**SMALL, "deadline_s": h * 3600.0,
+                       "policies": ("periodic", "markov-daly"),
+                       "zone_counts": (1, 3), "num_experiments": 3})
+        for h in (3.0, 4.0)
+    ]
+    serial = SurfaceBuilder().build_family(specs)
+    parallel = SurfaceBuilder(workers=2).build_family(specs)
+    assert [s.cells for s in parallel] == [s.cells for s in serial]
+    assert [(c.policy, c.zones, c.bid) for c in serial[0].cells] == [
+        (p, n, b) for p in ("periodic", "markov-daly") for n in (1, 3)
+        for b in SMALL["bids"]
+    ]

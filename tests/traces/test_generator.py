@@ -135,6 +135,25 @@ class TestGeneration:
             generate_zones({"za": cfg}, 100, np.random.default_rng(0),
                            hazard_envelopes={"za": env})
 
+    def test_missing_hazard_envelope_names_zone(self):
+        cfg = volatile_zone_config()
+        with pytest.raises(ValueError, match="no hazard envelope for zone 'zb'"):
+            generate_zones({"za": cfg, "zb": cfg}, 100,
+                           np.random.default_rng(0),
+                           hazard_envelopes={"za": np.ones(100)})
+        with pytest.raises(ValueError, match="zone 'za'"):
+            generate_zones({"za": cfg}, 100, np.random.default_rng(0),
+                           hazard_envelopes={})
+
+    def test_unknown_hazard_envelope_key_rejected(self):
+        # even a NaN envelope under a misspelt zone name used to be
+        # ignored silently, leaving the real zone unscaled
+        cfg = volatile_zone_config()
+        with pytest.raises(ValueError, match="unknown zone 'typo'"):
+            generate_zones({"za": cfg}, 100, np.random.default_rng(0),
+                           hazard_envelopes={"za": np.ones(100),
+                                             "typo": np.full(100, np.nan)})
+
     def test_hazard_envelope_damps_spikes(self):
         cfg = volatile_zone_config(spike_prob=0.05)
         rng1 = np.random.default_rng(3)
