@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.app.workload import paper_experiment
-from repro.experiments.metrics import deadline_violations
+from repro.experiments.metrics import best_case_per_start, deadline_violations
 from repro.experiments.runner import ExperimentRunner
 
 
@@ -58,13 +58,26 @@ class TestGridShapes:
     def test_best_redundant_covers_starts(self, runner):
         config = paper_experiment(slack_fraction=0.5)
         best = runner.run_best_redundant(
-            config, 0.81, policy_labels=("periodic", "markov-daly")
-        )
+            config, [0.81], policy_labels=("periodic", "markov-daly")
+        )[0.81]
         assert len(best) == 4
         explicit = runner.run_redundant("periodic", config, 0.81)
         by_start = {r.start_time: r.cost for r in explicit}
         for record in best:
             assert record.cost <= by_start[record.start_time] + 1e-9
+
+    def test_best_redundant_bid_axis_matches_per_policy_runs(self, runner):
+        """One redundant cube over (policy x bid) gives each bid the
+        best case of that bid's per-policy ``run_redundant`` runs."""
+        config = paper_experiment(slack_fraction=0.15)
+        labels = ("periodic", "markov-daly", "edge")
+        best = runner.run_best_redundant(config, [0.27, 0.81, 0.27],
+                                         policy_labels=labels)
+        assert list(best) == [0.27, 0.81]
+        for bid, records in best.items():
+            assert records == best_case_per_start([
+                runner.run_redundant(label, config, bid) for label in labels
+            ])
 
     def test_large_bid_naive_label(self, runner):
         config = paper_experiment(slack_fraction=0.5)

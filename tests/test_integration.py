@@ -62,7 +62,7 @@ class TestGlobalInvariants:
         # low slack -> redundancy beats every single-zone policy
         tight = paper_experiment(slack_fraction=0.15, ckpt_cost_s=300.0)
         runner = runners["high"]
-        redundant = box(runner.run_best_redundant(tight, 0.81)).median
+        redundant = box(runner.run_best_redundant(tight, [0.81])[0.81]).median
         singles = min(
             box(runner.run_single_zone(label, tight, 0.81)).median
             for label in ("periodic", "markov-daly")
