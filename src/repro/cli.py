@@ -76,13 +76,13 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=("fast", "tick", "vector"),
                         default="fast",
                         help="simulation engine: 'fast' skips event-free "
-                             "segments, 'tick' runs the reference "
-                             "tick-by-tick loop everywhere, 'vector' also "
-                             "advances single-bid cells' start axes in "
-                             "lockstep through the struct-of-arrays engine "
-                             "with per-run fast fallback; bid-axis cells "
-                             "take that engine under 'fast' too (results "
-                             "are bit-identical across all three; a "
+                             "segments for a lone (policy, shape, bid) cell "
+                             "and advances cubes of several cells in "
+                             "lockstep through the struct-of-arrays engine, "
+                             "'tick' runs the reference tick-by-tick loop "
+                             "everywhere, 'vector' batches every cell, with "
+                             "per-run fast fallback (results are "
+                             "bit-identical across all three; a "
                              "'vector-engine: native=...' summary goes to "
                              "stderr)")
     parser.add_argument("--audit", action="store_true",

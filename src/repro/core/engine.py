@@ -298,26 +298,22 @@ class SpotSimulator:
             controller_params = controller.canonical_params()
             if controller_params is None:
                 return None
-        oracle = self.oracle
+        from repro.experiments.cache import shared_run_parts
+
         try:
             return self.run_cache.run_key({
-                "trace": oracle.trace.fingerprint(),
-                "oracle": {
-                    "history_s": oracle.history_s,
-                    "bucket_s": oracle.bucket_s,
-                    "incremental": oracle.incremental,
-                },
-                "engine_mode": self.engine_mode,
-                "record_events": self.record_events,
-                "record_timeline": self.record_timeline,
+                **shared_run_parts(
+                    self.oracle, self.queue_model,
+                    engine_mode=self.engine_mode,
+                    record_events=self.record_events,
+                    record_timeline=self.record_timeline,
+                    zones=zones, controller=controller_params,
+                ),
+                "bid": float(bid),
                 "config": config,
                 "policy": policy.canonical_params(),
-                "bid": float(bid),
-                "zones": tuple(zones),
-                "start_time": float(start_time),
-                "controller": controller_params,
-                "queue_model": self.queue_model,
                 "rng": self.rng.bit_generator.state,
+                "start_time": float(start_time),
             })
         except TypeError:
             return None

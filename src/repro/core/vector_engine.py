@@ -545,27 +545,18 @@ class VectorSimulator:
         """Serve rows ``idxs`` that hit the run cache (burning each
         hit's RNG draws); returns the rows left to simulate and records
         each miss's address in ``keys``."""
-        from repro.experiments.cache import RunKeyTemplate, canonical_json
+        from repro.experiments.cache import (
+            RunKeyTemplate, canonical_json, shared_run_parts,
+        )
 
         cache = self.run_cache
-        oracle = self.oracle
         try:
-            template = RunKeyTemplate(
-                {
-                    "trace": oracle.trace.fingerprint(),
-                    "oracle": {
-                        "history_s": oracle.history_s,
-                        "bucket_s": oracle.bucket_s,
-                        "incremental": oracle.incremental,
-                    },
-                    "engine_mode": "fast",
-                    "record_events": self.record_events,
-                    "record_timeline": False,
-                    "queue_model": self.queue_model,
-                    "zones": zones,
-                    "controller": controller_params,
-                },
-            )
+            template = RunKeyTemplate(shared_run_parts(
+                self.oracle, self.queue_model,
+                engine_mode="fast", record_events=self.record_events,
+                record_timeline=False, zones=zones,
+                controller=controller_params,
+            ))
             config_json = [canonical_json(cfg) for cfg in configs]
             policy_json = [
                 canonical_json(p.canonical_params()) for p in policies

@@ -183,6 +183,24 @@ def content_key(obj) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
+def shared_run_parts(oracle, queue_model, *, engine_mode, record_events,
+                     record_timeline, zones, controller) -> dict:
+    """Every part of a run's address but the per-run
+    :attr:`RunKeyTemplate.ROW_FIELDS`; the scalar engine adds one run's
+    to it, a vector batch builds its template from it."""
+    return {
+        "trace": oracle.trace.fingerprint(),
+        "oracle": {"history_s": oracle.history_s, "bucket_s": oracle.bucket_s,
+                   "incremental": oracle.incremental},
+        "engine_mode": engine_mode,
+        "record_events": record_events,
+        "record_timeline": record_timeline,
+        "queue_model": queue_model,
+        "zones": tuple(zones),
+        "controller": controller,
+    }
+
+
 class RunKeyTemplate:
     """:meth:`RunCache.run_key` for a batch of runs that share every
     part but :attr:`ROW_FIELDS`.

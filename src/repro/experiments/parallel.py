@@ -6,10 +6,11 @@ costs — tens of thousands of tick-by-tick simulations that are
 embarrassingly parallel across start offsets: per-start seeding is
 derived from the start offset alone
 (:meth:`~repro.experiments.runner.ExperimentRunner.simulator`), so no
-work unit observes another's randomness.  There are two fan-outs:
-:meth:`SweepExecutor.map_cells` ships per-run ``(task, start)`` units,
-and :meth:`SweepExecutor.map_cube` ships contiguous start-chunks of a
-vectorised (policy x shape x bid x start) cube.
+work unit observes another's randomness.  There is one fan-out:
+:meth:`SweepExecutor.map_cube` ships contiguous start-chunks of a
+(policy x shape x bid x start) cube, each run by the worker's
+:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell` on
+whichever engine the runner's rule picks.
 
 Design:
 
@@ -24,7 +25,7 @@ Design:
   serial path.  ``RunRecord`` trees are plain frozen dataclasses of
   floats/strings/tuples; pickling them is exact, so parallel results
   are bit-identical to serial runs.
-* **Pool reuse.**  The pool outlives a single ``map_cells`` call: one
+* **Pool reuse.**  The pool outlives a single ``map_cube`` call: one
   :class:`SweepExecutor` serves a whole figure's worth of cells, so
   process start-up and trace construction are paid once per sweep,
   not once per cell.
@@ -106,52 +107,30 @@ def _init_worker(
     )
 
 
-def _worker_extras() -> tuple[
-    AuditReport | None, CacheStats | None, BatchStats | None
-]:
-    """Drained per-call side channels: audit report, cache counters and
-    the vector engine's native/fallback tallies.  Flushes the worker's
-    run cache first, so every chunk's stored runs are on disk (one
-    segment per chunk) before its results reach the parent."""
-    _WORKER_RUNNER.flush_cache()
-    report = _WORKER_RUNNER.drain_audit() if _WORKER_RUNNER.audit else None
-    stats = (
-        _WORKER_RUNNER.drain_cache_stats()
-        if _WORKER_RUNNER.cache is not None
-        else None
-    )
-    return report, stats, _WORKER_RUNNER.drain_vector_stats()
-
-
-def _run_cell(task: CellTask, start: float) -> tuple:
-    """Worker entry point: one (task, start) unit on the shared runner.
-
-    Returns the records plus the drained audit report, run-cache
-    counters and vector-batch counters (``None`` when the respective
-    feature is off), so violations and hit/miss/native tallies observed
-    inside the worker travel back to the parent with the results they
-    describe.
-    """
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
-        raise RuntimeError("worker pool used before initialization")
-    records = _WORKER_RUNNER.run_cell(task, start)
-    return (records, *_worker_extras())
-
-
 def _run_cube_chunk(
     task: CellTask, configs: tuple, bids: tuple, starts_per_shape: tuple
 ) -> tuple:
-    """Worker entry point for one start-chunk of a fused (policy x shape
-    x bid x start) cube: every policy's and shape's slice of the chunk
-    advances in one lockstep pass per zone wave
-    (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell`)."""
-    if _WORKER_RUNNER is None:  # pragma: no cover - initializer always ran
+    """Worker entry point: one start-chunk of a (policy x shape x bid x
+    start) cube on the shared runner
+    (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell`).
+
+    Returns the chunk plus the drained audit report, run-cache
+    counters and vector-batch counters (``None`` when the respective
+    feature is off), so violations and hit/miss/native tallies observed
+    inside the worker travel back to the parent with the results they
+    describe.  The worker's run cache is flushed first, so the chunk's
+    stored runs are on disk (one segment) before its results arrive.
+    """
+    runner = _WORKER_RUNNER
+    if runner is None:  # pragma: no cover - initializer always ran
         raise RuntimeError("worker pool used before initialization")
-    cell = _WORKER_RUNNER.run_cube_cell(
+    cell = runner.run_cube_cell(
         task, list(configs), list(bids),
         [list(starts) for starts in starts_per_shape],
     )
-    return (cell, *_worker_extras())
+    runner.flush_cache()
+    report = runner.drain_audit() if runner.audit else None
+    return cell, report, runner.drain_cache_stats(), runner.drain_vector_stats()
 
 
 @dataclass
@@ -211,24 +190,6 @@ class SweepExecutor:
         if vstats is not None:
             self._vector_stats.merge(vstats)
 
-    def map_cells(
-        self, task: CellTask, starts: Sequence[float]
-    ) -> list[RunRecord]:
-        """Run one cell task at every start; records in start order.
-
-        The ordered merge makes the result indistinguishable from the
-        serial loop: worker k's records for start i land at exactly the
-        position the serial path would have appended them.
-        """
-        pool = self._ensure_pool()
-        futures = [pool.submit(_run_cell, task, float(s)) for s in starts]
-        records: list[RunRecord] = []
-        for future in futures:
-            cell_records, *extras = future.result()
-            records.extend(cell_records)
-            self._absorb_extras(*extras)
-        return records
-
     def map_cube(
         self,
         task: CellTask,
@@ -236,19 +197,19 @@ class SweepExecutor:
         bids: Sequence[float],
         starts_per_shape: Sequence[Sequence[float]],
     ) -> list[list[dict[float, list[RunRecord]]]]:
-        """Run a fused (policy x shape x bid x start) cube over the
-        pool — every vectorised cell, a single-bid start axis included.
+        """Run a (policy x shape x bid x start) cube over the pool —
+        every cell, a lone per-run cell included.
 
         Every shape's start grid splits into one contiguous chunk per
         worker (start order preserved); chunk w carries shape k's w-th
-        slice for *all* shapes and all of the task's policies, so each
-        worker still advances the whole policy axis and shape ladder in
-        one lockstep pass per zone wave
-        (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell`)
-        and the zone-dynamics column sharing survives the fan-out.  The
-        ordered merge reproduces, per policy and shape, the serial
-        fused tile — and therefore per-bid scalar runs — record for
-        record.
+        slice for *all* shapes and all of the task's policies and bids,
+        so each worker makes the parent's engine choice
+        (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube_cell`):
+        a batched chunk advances the whole policy axis and shape ladder
+        in one lockstep pass per zone wave, keeping the zone-dynamics
+        column sharing across the fan-out, and a per-run chunk loops
+        its units.  The ordered merge reproduces, per policy and shape,
+        the serial records, values and order.
         """
         pool = self._ensure_pool()
         configs = tuple(configs)

@@ -13,16 +13,16 @@ exposes the run shapes the figures need:
 * Large-bid sweeps over the control threshold L.
 
 Every grid cell is a (policy x shape x bid x start) cube with some
-axes of length 1.  Vectorised cells go through one cube-chunk body
+axes of length 1, and runs through one cube-chunk body
 (:meth:`ExperimentRunner.run_cube_cell`), serially or as contiguous
 start-chunks over worker processes
-(:meth:`~repro.experiments.parallel.SweepExecutor.map_cube`).  Cells
-that must run one simulation at a time — audited runners, the
-reference tick engine, ``engine_mode="fast"`` single-bid cells —
-decompose into independent per-start units of work, a
-:class:`CellTask` plus one start offset (:meth:`run_cell`, fanned out
-by ``map_cells``).  Per-start seeding is derived from the start offset
-alone, so every path produces identical records.
+(:meth:`~repro.experiments.parallel.SweepExecutor.map_cube`).  One
+rule picks the engine for a chunk: audited runners and the reference
+tick engine run it one simulation at a time (:meth:`run_cell` per
+(policy, shape, bid, start) unit), ``engine_mode="vector"`` batches it,
+and ``"fast"`` batches cubes of more than one (policy, shape, bid)
+cell.  Per-start seeding is derived from the start offset alone, so
+every path produces identical records.
 """
 
 from __future__ import annotations
@@ -76,12 +76,12 @@ class CellTask:
     other kinds bring their own policy (a Large-bid threshold, an
     Adaptive controller).
 
-    The (task, start) pair is the atomic unit of the evaluation grid:
-    serial runs iterate starts in order, the parallel executor ships
-    the same pairs to worker processes.  Tasks must therefore be
-    picklable; ``controller_factory`` must be a module-level callable
-    (the default :class:`AdaptiveController` is) when a parallel run
-    is intended.
+    The (task, start) pair is the per-run unit of the evaluation grid
+    (:meth:`ExperimentRunner.run_cell`); the parallel executor ships a
+    task with contiguous chunks of its starts to worker processes.
+    Tasks must therefore be picklable; ``controller_factory`` must be a
+    module-level callable (the default :class:`AdaptiveController` is)
+    when a parallel run is intended.
     """
 
     kind: str  # "single-zone" | "redundant" | "adaptive" | "large-bid"
@@ -109,19 +109,18 @@ class ExperimentRunner:
         Seeds both the trace archive and the queuing-delay draws.
     workers:
         Worker processes for grid execution.  1 (default) runs
-        serially in-process; N > 1 fans the per-start cells out over a
-        process pool (see :mod:`repro.experiments.parallel`) with
-        bit-identical results.
+        serially in-process; N > 1 splits every cube's start axis into
+        contiguous chunks over a process pool (see
+        :mod:`repro.experiments.parallel`) with bit-identical results.
     engine_mode:
         ``"fast"`` (default) uses the engine's segment-skipping
-        scheduler; ``"tick"`` forces the reference tick-by-tick loop
-        everywhere, :meth:`run_cube` included; ``"vector"`` also
-        batches the single-bid cells (:meth:`run_single_zone` and
-        friends) through the struct-of-arrays engine
-        (:mod:`repro.core.vector_engine`), which falls back to per-run
-        fast simulation for everything it can't express.
-        :meth:`run_cube` is vectorised under ``"fast"`` too.  Results
-        are bit-identical across all three.
+        scheduler for a lone (policy, shape, bid) cell and the
+        struct-of-arrays engine (:mod:`repro.core.vector_engine`) for
+        cubes of more than one; ``"tick"`` forces the reference
+        tick-by-tick loop everywhere; ``"vector"`` batches every cell,
+        falling back to per-run fast simulation for everything the
+        batch engine can't express.  Results are bit-identical across
+        all three.
     audit:
         Attach a :class:`~repro.audit.auditor.RunAuditor` to every
         simulator: invariants are checked on each run and violations
@@ -392,13 +391,13 @@ class ExperimentRunner:
         )
 
     def run_cell(self, task: CellTask, start: float) -> list[RunRecord]:
-        """Execute one (task, start) unit; the parallel worker entry point.
+        """Execute one (task, start) unit on the per-run engine.
 
         One simulator per start: within a cell, every zone of a merged
         single-zone (or Large-bid) run draws from the same queue-delay
-        stream, exactly as the serial loops always did.  Single-zone
-        and redundant tasks carry exactly one policy here; the policy
-        axis is fused only on the cube path (:meth:`_cube_cell`).
+        stream.  Single-zone and redundant tasks carry exactly one
+        policy here; a per-run cube chunk (:meth:`_cube_cell`) splits
+        its policy axis into one task per policy.
         """
         sim = self.simulator(start)
         config = task.config
@@ -445,6 +444,18 @@ class ExperimentRunner:
             return records
         raise ValueError(f"unknown cell task kind {task.kind!r}")
 
+    def _batches(self, task: CellTask, configs, bids) -> bool:
+        """The engine rule: batch a cube chunk on the vector engine?
+        Audited and tick runners run per run; ``"vector"`` always
+        batches; ``"fast"`` batches more than one (policy, shape, bid)
+        cell (the crossover is in EXPERIMENTS.md).  A chunk carries the
+        cube's whole policy, shape and bid axes, so a worker decides as
+        the parent would."""
+        if self.audit or self.engine_mode == "tick":
+            return False
+        cells = max(len(task.policies), 1) * len(configs) * len(bids)
+        return self.engine_mode == "vector" or cells > 1
+
     def _cube_cell(
         self,
         task: CellTask,
@@ -453,10 +464,11 @@ class ExperimentRunner:
         starts_per_shape: Sequence[Sequence[float]],
     ) -> list[list[list[tuple[float, list[RunRecord]]]]]:
         """One contiguous start-chunk of a (policy x shape x bid x
-        start) cube, advanced through the vector engine in one lockstep
-        pass per zone wave.
-
-        Rows and the clone plan come from
+        start) cube: the only cell body, on the engine :meth:`_batches`
+        picks.  Per run, it loops :meth:`run_cell` over its (policy,
+        shape, bid, start) units in that order.  Batched, it advances
+        through the vector engine in one lockstep pass per zone wave:
+        rows and the clone plan come from
         :func:`~repro.core.bid_batch.cube_rows` (policy-major, then
         shape, start and bid; for bid-invariant policies one
         representative row per availability-equivalence class
@@ -473,9 +485,9 @@ class ExperimentRunner:
 
         Returns, per policy and shape, ``(bid, records)`` pairs over
         ``bids``; per bid the records are start-major (zone-minor for
-        merged cells) — bit-identical, values and order, to per-start
-        ``run_cell`` loops.  Only lists and tuples: the benchmark's
-        record count walks them.
+        merged cells) — bit-identical, values and order, on either
+        engine.  Only lists and tuples: the benchmark's record count
+        walks them.
         """
         kind = task.kind
         if kind in ("single-zone", "redundant"):
@@ -505,6 +517,25 @@ class ExperimentRunner:
             raise ValueError(
                 f"a {kind} cell takes exactly one bid, got {len(bids)}"
             )
+        if not self._batches(task, configs, bids):
+            # one policy at a time; Large-bid and Adaptive tasks bring
+            # their own (an empty policy axis)
+            cell = [
+                [
+                    [(bid, [
+                        r for start in starts
+                        for r in self.run_cell(
+                            replace(task, config=config, bid=bid,
+                                    policies=policies),
+                            start,
+                        )
+                    ]) for bid in bids]
+                    for config, starts in zip(configs, starts_per_shape)
+                ]
+                for policies in [(p,) for p in task.policies] or [()]
+            ]
+            self.flush_cache()
+            return cell
         rows = cube_rows(
             self.trace,
             tuple(z for zones in waves for z in zones),
@@ -573,59 +604,20 @@ class ExperimentRunner:
         task: CellTask,
         configs: list[ExperimentConfig],
         bids: list,
-        vector: bool,
     ) -> list[list[dict[float, list[RunRecord]]]]:
         """Every start of ``task`` at each (policy, shape, bid): per
         policy, one ``{bid: records}`` dict per shape, in ``configs``
-        order.
-
-        ``vector`` sends the whole cube through :meth:`run_cube_cell`
-        (contiguous start-chunks via
-        :meth:`~repro.experiments.parallel.SweepExecutor.map_cube` under
-        workers > 1); otherwise every (policy, shape, bid) runs start
-        by start through :meth:`run_cell` (or ``map_cells``), which is
-        what an attached auditor needs to observe each run.  Both paths
-        return the same records, values and order.
-        """
+        order; one :meth:`run_cube_cell`, or contiguous start-chunks
+        over :meth:`~repro.experiments.parallel.SweepExecutor.map_cube`
+        under workers > 1."""
         starts_per_shape = [
             [float(s) for s in self.starts(config)] for config in configs
         ]
-        if vector:
-            if self.workers > 1 and max(map(len, starts_per_shape)) > 1:
-                return self.executor.map_cube(task, configs, bids,
-                                              starts_per_shape)
-            cell = self.run_cube_cell(task, configs, bids, starts_per_shape)
-            return [[dict(pairs) for pairs in per_shape] for per_shape in cell]
-        out: list[list[dict[float, list[RunRecord]]]] = []
-        # one policy at a time; Large-bid and Adaptive tasks bring
-        # their own (an empty policy axis)
-        for policies in [(label,) for label in task.policies] or [()]:
-            per_policy: list[dict[float, list[RunRecord]]] = []
-            for config, starts in zip(configs, starts_per_shape):
-                per_bid: dict[float, list[RunRecord]] = {}
-                for bid in bids:
-                    cell = replace(task, config=config, bid=bid,
-                                   policies=policies)
-                    if self.workers > 1 and len(starts) > 1:
-                        per_bid[bid] = self.executor.map_cells(cell, starts)
-                    else:
-                        per_bid[bid] = [
-                            r for start in starts
-                            for r in self.run_cell(cell, start)
-                        ]
-                per_policy.append(per_bid)
-            out.append(per_policy)
-        self.flush_cache()
-        return out
-
-    def _run_task(self, task: CellTask) -> list[RunRecord]:
-        """All starts of one single-shape, single-policy cell at
-        ``task.bid``; batched through the vector engine under
-        ``engine_mode="vector"`` (audited runners excepted), per run
-        otherwise."""
-        vector = self.engine_mode == "vector" and not self.audit
-        (per_shape,) = self._run_cube(task, [task.config], [task.bid], vector)
-        return per_shape[0][task.bid]
+        if self.workers > 1 and max(map(len, starts_per_shape)) > 1:
+            return self.executor.map_cube(task, configs, bids,
+                                          starts_per_shape)
+        cell = self.run_cube_cell(task, configs, bids, starts_per_shape)
+        return [[dict(pairs) for pairs in per_shape] for per_shape in cell]
 
     def run_cube(
         self,
@@ -638,18 +630,17 @@ class ExperimentRunner:
     ) -> list[list[dict[float, list[RunRecord]]]]:
         """A (policy x shape x bid x start) cube over one zone set — a
         policy axis, a bid axis, a deadline ladder, or all three, in
-        one lockstep pass per zone wave.
+        one lockstep pass per zone wave on the vector engine.
 
         Per policy and shape, the same ``{bid: records}`` — values
-        *and* order — as :meth:`run_single_zone` / :meth:`run_redundant`
-        called once per (policy, shape, bid); the rows share the
-        zone-dynamics column work and the bid-equivalence clones inside
-        the vector engine instead.  Audited runners and
-        ``engine_mode="tick"`` simulate per run, so the auditor
-        observes every run and the reference engine stays the
-        reference.  Returns, per label of ``policies`` in order, one
-        ``{bid: records}`` dict per shape, in ``configs`` order, over
-        the unique bids.
+        *and* order — as one per-run cell per (policy, shape, bid);
+        batched rows share the zone-dynamics column work and the
+        bid-equivalence clones inside the vector engine instead
+        (:meth:`_batches` picks the engine).  Returns, per label of
+        ``policies`` in order, one ``{bid: records}`` dict per shape,
+        in ``configs`` order, over the unique bids.  Empty axes,
+        unknown labels and a redundancy degree outside 1..(trace
+        zones) raise ``ValueError``.
         """
         if isinstance(policies, str):
             raise TypeError(
@@ -659,18 +650,28 @@ class ExperimentRunner:
         configs = list(configs)
         if not policies:
             raise ValueError("at least one policy is required")
+        for label in policies:
+            if label not in POLICY_FACTORIES:
+                raise ValueError(f"unknown policy label {label!r}")
         if not configs:
             raise ValueError("at least one job shape is required")
         bids = [float(b) for b in dict.fromkeys(float(b) for b in bids)]
+        if not bids:
+            raise ValueError("at least one bid is required")
         if redundant:
+            available = len(self.trace.zone_names)
+            if not 1 <= num_zones <= available:
+                raise ValueError(f"redundancy degree must be in "
+                                 f"1..{available}, got {num_zones}")
             task = CellTask(kind="redundant", config=configs[0],
                             policies=policies, num_zones=num_zones)
         else:
             cell_zones = tuple(zones) if zones is not None else self.trace.zone_names
+            if not cell_zones:
+                raise ValueError("at least one zone is required")
             task = CellTask(kind="single-zone", config=configs[0],
                             policies=policies, zones=cell_zones)
-        vector = not (self.audit or self.engine_mode == "tick")
-        return self._run_cube(task, configs, bids, vector)
+        return self._run_cube(task, configs, bids)
 
     # -- grid cells -------------------------------------------------------
 
@@ -687,11 +688,7 @@ class ExperimentRunner:
         zones, matching "we merge the results from all three individual
         zones ... to generate one boxplot".
         """
-        zones = tuple(zones) if zones is not None else self.trace.zone_names
-        return self._run_task(
-            CellTask(kind="single-zone", config=config,
-                     policies=(policy_label,), bid=bid, zones=zones)
-        )
+        return self.run_cube([policy_label], [config], [bid], zones)[0][0][float(bid)]
 
     def run_redundant(
         self,
@@ -701,10 +698,8 @@ class ExperimentRunner:
         num_zones: int = 3,
     ) -> list[RunRecord]:
         """One redundancy-based policy over the first ``num_zones`` zones."""
-        return self._run_task(
-            CellTask(kind="redundant", config=config,
-                     policies=(policy_label,), bid=bid, num_zones=num_zones)
-        )
+        return self.run_cube([policy_label], [config], [bid], redundant=True,
+                             num_zones=num_zones)[0][0][float(bid)]
 
     def run_best_redundant(
         self,
@@ -733,10 +728,9 @@ class ExperimentRunner:
         The initial configuration is a placeholder — the controller's
         first decision (before anything runs) replaces it.
         """
-        return self._run_task(
-            CellTask(kind="adaptive", config=config,
-                     controller_factory=controller_factory)
-        )
+        task = CellTask(kind="adaptive", config=config,
+                        controller_factory=controller_factory)
+        return self._run_cube(task, [config], [None])[0][0][None]
 
     def run_large_bid(
         self,
@@ -746,7 +740,6 @@ class ExperimentRunner:
     ) -> list[RunRecord]:
         """Large-bid at control threshold L (None = Naive), merged zones."""
         zones = (zone,) if zone is not None else self.trace.zone_names
-        return self._run_task(
-            CellTask(kind="large-bid", config=config,
-                     threshold=threshold, zones=zones)
-        )
+        task = CellTask(kind="large-bid", config=config,
+                        threshold=threshold, zones=zones)
+        return self._run_cube(task, [config], [None])[0][0][None]

@@ -50,6 +50,28 @@ def _with_workers(
     return runner if workers is None else runner.with_workers(workers)
 
 
+def _shape_axis(
+    runner: ExperimentRunner,
+    workers: int | None,
+    values: Sequence,
+    configs: Sequence,
+    policy_label: str,
+    bid: float,
+    redundant: bool,
+) -> list[SweepPoint]:
+    """One point per job shape, the whole axis one shape-ladder cube
+    (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`):
+    per-point records identical to one cell per shape."""
+    runner = _with_workers(runner, workers)
+    (per_shape,) = runner.run_cube(
+        [policy_label], configs, [bid], redundant=redundant
+    )
+    return [
+        _point(value, per_bid[float(bid)])
+        for value, per_bid in zip(values, per_shape)
+    ]
+
+
 def sweep_slack(
     runner: ExperimentRunner,
     fractions: Sequence[float],
@@ -65,17 +87,10 @@ def sweep_slack(
     (more time to ride out storms before the on-demand switch) but
     barely moves medians once availability is high.
     """
-    runner = _with_workers(runner, workers)
-    points = []
-    for fraction in fractions:
-        config = paper_experiment(slack_fraction=fraction,
-                                  ckpt_cost_s=ckpt_cost_s)
-        if redundant:
-            records = runner.run_redundant(policy_label, config, bid)
-        else:
-            records = runner.run_single_zone(policy_label, config, bid)
-        points.append(_point(fraction, records))
-    return points
+    configs = [paper_experiment(slack_fraction=f, ckpt_cost_s=ckpt_cost_s)
+               for f in fractions]
+    return _shape_axis(runner, workers, fractions, configs, policy_label,
+                       bid, redundant)
 
 
 def sweep_ckpt_cost(
@@ -88,17 +103,10 @@ def sweep_ckpt_cost(
     workers: int | None = None,
 ) -> list[SweepPoint]:
     """Cost vs. checkpoint cost t_c (the Tables 2→3 axis, densified)."""
-    runner = _with_workers(runner, workers)
-    points = []
-    for tc in costs_s:
-        config = paper_experiment(slack_fraction=slack_fraction,
-                                  ckpt_cost_s=tc)
-        if redundant:
-            records = runner.run_redundant(policy_label, config, bid)
-        else:
-            records = runner.run_single_zone(policy_label, config, bid)
-        points.append(_point(tc, records))
-    return points
+    configs = [paper_experiment(slack_fraction=slack_fraction, ckpt_cost_s=tc)
+               for tc in costs_s]
+    return _shape_axis(runner, workers, costs_s, configs, policy_label,
+                       bid, redundant)
 
 
 def sweep_bid(

@@ -84,6 +84,8 @@ class SurfaceSpec:
                 raise ValueError(f"unknown policy label {label!r}")
         if not self.bids or not self.zone_counts or not self.policies:
             raise ValueError("spec needs at least one policy, bid and zone count")
+        if min(self.zone_counts) < 1:
+            raise ValueError(f"every zone count must be >= 1, got {self.zone_counts}")
 
     @classmethod
     def for_config(cls, window: str, config: ExperimentConfig, **kwargs) -> "SurfaceSpec":

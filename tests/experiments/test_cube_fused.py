@@ -1,6 +1,6 @@
 """Fused (policy x shape x bid x start) cube: runner-level record identity.
 
-Every vectorised cell is a cube chunk (:meth:`ExperimentRunner.run_cube_cell`)
+Every cell is a cube chunk (:meth:`ExperimentRunner.run_cube_cell`)
 with some axes of length 1.  Whatever the cell kind, bid axis, engine
 mode and worker count, its records must be identical — values *and*
 order — to a per-start :meth:`ExperimentRunner.run_cell` loop; the
@@ -207,10 +207,10 @@ def test_cell_matches_per_start_cells(runners, kind, axis, workers, engine):
     }
     assert list(got) == list(dict.fromkeys(bids))
     assert list(got.items()) == list(want.items())
-    # a cube cell is vectorised under every mode but the tick reference;
-    # a single-bid cell only under engine_mode="vector"
-    cube = kind in ("single-zone", "redundant")
-    vectorised = engine == "vector" or (engine == "fast" and cube)
+    # the runner's engine rule: "vector" batches every cell, "fast"
+    # only a cube of more than one (policy, shape, bid) cell, "tick"
+    # none
+    vectorised = engine == "vector" or (engine == "fast" and len(got) > 1)
     stats = runner.drain_vector_stats()
     assert (stats is not None) == vectorised
     if vectorised:

@@ -60,13 +60,39 @@ class TestIdenticalRecords:
 
 
 class TestExecutor:
-    def test_map_cells_orders_by_start(self, serial, config):
+    def test_map_cube_per_run_chunks_order_by_start(self, serial, config):
+        """A lone fast-engine cell runs per run in every worker; the
+        ordered merge puts the chunks back in start order."""
         task = CellTask(kind="redundant", config=config,
-                        policies=("periodic",), bid=0.81)
+                        policies=("periodic",))
         starts = [float(s) for s in serial.starts(config)]
         with SweepExecutor("low", num_experiments=5, workers=2) as ex:
-            records = ex.map_cells(task, starts)
+            ((per_bid,),) = ex.map_cube(task, [config], [0.81], [starts])
+            assert ex.drain_vector_stats().total == 0
+        records = per_bid[0.81]
         assert [r.start_time for r in records] == starts
+        assert records == serial.run_redundant("periodic", config, 0.81)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"audit": True}, {"engine_mode": "tick"},
+    ], ids=["audited", "tick"])
+    def test_per_run_runners_match_serial_over_the_pool(
+        self, serial, config, kwargs
+    ):
+        """Audited and tick runners run every cube per run; with two
+        workers their chunks still give the serial fast runner's
+        records, and no chunk touches the vector engine."""
+        bids = [0.27, 0.81]
+        want = serial.run_cube(["periodic"], [config], bids)
+        with ExperimentRunner("low", num_experiments=5, workers=2,
+                              **kwargs) as runner:
+            got = runner.run_cube(["periodic"], [config], bids)
+            assert runner.drain_vector_stats() is None
+            report = runner.drain_audit()
+        assert got == want
+        if runner.audit:
+            assert report.ok
+            assert report.counters.runs == sum(map(len, want[0][0].values()))
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
@@ -119,8 +145,8 @@ class TestDrainCacheStatsContract:
         starts = [float(serial.starts(config)[0])]
         with SweepExecutor("low", num_experiments=3, workers=2) as ex:
             task = CellTask(kind="redundant", config=config,
-                            policies=("periodic",), bid=0.81)
-            ex.map_cells(task, starts)
+                            policies=("periodic",))
+            ex.map_cube(task, [config], [0.81], [starts])
             assert ex.drain_cache_stats() is None
 
     def test_executor_stats_with_cache_dir(self, serial, config, tmp_path):
@@ -128,8 +154,8 @@ class TestDrainCacheStatsContract:
         with SweepExecutor("low", num_experiments=3, workers=2,
                            cache_dir=str(tmp_path)) as ex:
             task = CellTask(kind="redundant", config=config,
-                            policies=("periodic",), bid=0.81)
-            ex.map_cells(task, starts)
+                            policies=("periodic",))
+            ex.map_cube(task, [config], [0.81], [starts])
             stats = ex.drain_cache_stats()
             assert stats is not None
             assert stats.lookups > 0

@@ -140,3 +140,36 @@ class TestWorkerConfiguration:
         with pytest.raises(ValueError, match="explicit trace"):
             explicit.with_workers(2)
         assert explicit.with_workers(1) is explicit
+
+
+class TestBadCubeAxes:
+    """A cube with an empty or impossible axis raises instead of
+    returning empty or mislabelled records."""
+
+    def test_empty_zone_list(self, runner):
+        config = paper_experiment()
+        with pytest.raises(ValueError, match="zone"):
+            runner.run_cube(["periodic"], [config], [0.81], zones=())
+        with pytest.raises(ValueError, match="zone"):
+            runner.run_single_zone("periodic", config, 0.81, zones=())
+
+    def test_empty_bid_list(self, runner):
+        with pytest.raises(ValueError, match="bid"):
+            runner.run_cube(["periodic"], [paper_experiment()], [])
+
+    @pytest.mark.parametrize("num_zones", [0, -1, 4, 5])
+    def test_redundancy_degree_outside_the_trace(self, runner, num_zones):
+        config = paper_experiment()
+        with pytest.raises(ValueError, match="redundancy degree"):
+            runner.run_cube(["periodic"], [config], [0.81], redundant=True,
+                            num_zones=num_zones)
+        with pytest.raises(ValueError, match="redundancy degree"):
+            runner.run_redundant("periodic", config, 0.81,
+                                 num_zones=num_zones)
+
+    def test_unknown_policy_label(self, runner):
+        config = paper_experiment()
+        with pytest.raises(ValueError, match="unknown policy label"):
+            runner.run_cube(["periodic", "no-such-policy"], [config], [0.81])
+        with pytest.raises(ValueError, match="unknown policy label"):
+            runner.run_single_zone("no-such-policy", config, 0.81)

@@ -77,11 +77,22 @@ def test_vector_runner_matches_fast_large_bid(fast_runner, vector_runner,
 
 
 def test_run_start_axis_equals_run_single_zone(fast_runner, config):
-    """A one-bid cube is batched on any runner and matches the per-run
-    grid."""
+    """A one-bid cube and ``run_single_zone`` are the same cell: equal
+    records, on the engine the runner's rule picks for both."""
     a = fast_runner.run_single_zone("edge", config, 0.81)
     ((b,),) = fast_runner.run_cube(["edge"], [config], [0.81])
     assert a == b[0.81]
+
+
+def test_fast_runner_batches_only_multi_cell_cubes(config):
+    """Under ``engine_mode="fast"`` a lone (policy, shape, bid) cell
+    runs per run and a two-bid cube goes through the vector engine."""
+    runner = ExperimentRunner("low", num_experiments=3)
+    runner.run_cube(["periodic"], [config], [0.81])
+    assert runner.drain_vector_stats() is None
+    runner.run_cube(["periodic"], [config], [0.27, 0.81])
+    stats = runner.drain_vector_stats()
+    assert stats is not None and stats.total > 0
 
 
 def test_run_start_axis_subset_of_zones(fast_runner, config):
@@ -99,34 +110,37 @@ def test_start_axis_cells_rejects_unknown_kind(fast_runner, config):
         fast_runner.run_start_axis_cells(task, [fast_runner.eval_start])
 
 
-def test_start_axis_cells_serves_adaptive(fast_runner, config):
+def test_start_axis_cells_serves_adaptive(fast_runner, vector_runner,
+                                          config):
     """Adaptive cells batch the whole axis: batched controller
     decisions, same records as per-start serial cells."""
     task = CellTask(kind="adaptive", config=config)
     starts = [float(s) for s in fast_runner.starts(config)[:3]]
-    (batched,) = fast_runner.run_start_axis_cells(task, starts)
+    (batched,) = vector_runner.run_start_axis_cells(task, starts)
     serial = [r for s in starts for r in fast_runner.run_cell(task, s)]
     assert batched == serial
     assert all(r.label == "adaptive" for r in batched)
 
 
-def test_start_axis_cells_serves_large_bid(fast_runner, config):
+def test_start_axis_cells_serves_large_bid(fast_runner, vector_runner,
+                                           config):
     """Large-bid cells ride the native columns, merged over zones in
     the serial start-major, zone-minor order."""
     task = CellTask(kind="large-bid", config=config, threshold=0.81,
                     zones=fast_runner.trace.zone_names)
     starts = [float(s) for s in fast_runner.starts(config)[:2]]
-    (batched,) = fast_runner.run_start_axis_cells(task, starts)
+    (batched,) = vector_runner.run_start_axis_cells(task, starts)
     serial = [r for s in starts for r in fast_runner.run_cell(task, s)]
     assert batched == serial
 
 
-def test_start_axis_cells_serves_redundant(fast_runner, config):
+def test_start_axis_cells_serves_redundant(fast_runner, vector_runner,
+                                           config):
     """Merged multi-zone cells run natively as one batch."""
     task = CellTask(kind="redundant", config=config,
                     policies=("periodic",), bid=0.27, num_zones=2)
     starts = [float(s) for s in fast_runner.starts(config)[:3]]
-    (batched,) = fast_runner.run_start_axis_cells(task, starts)
+    (batched,) = vector_runner.run_start_axis_cells(task, starts)
     serial = [r for s in starts for r in fast_runner.run_cell(task, s)]
     assert batched == serial
     assert all(r.label == "periodic-r2" for r in batched)

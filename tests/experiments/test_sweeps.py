@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.app.workload import paper_experiment
+from repro.experiments import sweeps
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.sweeps import (
     SweepPoint,
+    _point,
     sweep_bid,
     sweep_ckpt_cost,
     sweep_slack,
@@ -55,3 +58,47 @@ class TestSweepShapes:
         row = point.row()
         assert row[0] == 0.5
         assert len(row) == 5
+
+
+
+class TestShapeAxisCube:
+    """Slack and t_c sweeps run their axis as one shape-ladder cube;
+    every point's records equal a one-shape cell of its own."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """The (value, records) pairs each sweep point is built from."""
+        pairs = []
+
+        def point(value, records):
+            pairs.append((value, records))
+            return _point(value, records)
+
+        monkeypatch.setattr(sweeps, "_point", point)
+        return pairs
+
+    @pytest.mark.parametrize("redundant", [False, True])
+    def test_slack_points_equal_per_point_cells(self, seen, redundant):
+        runner = ExperimentRunner("low", num_experiments=4)
+        fractions = (0.10, 0.15, 0.25, 0.50, 1.00)
+        sweep_slack(runner, fractions, redundant=redundant)
+        run = runner.run_redundant if redundant else runner.run_single_zone
+        assert seen == [
+            (f, run("markov-daly",
+                    paper_experiment(slack_fraction=f, ckpt_cost_s=300.0),
+                    0.81))
+            for f in fractions
+        ]
+
+    @pytest.mark.parametrize("redundant", [False, True])
+    def test_ckpt_points_equal_per_point_cells(self, seen, redundant):
+        runner = ExperimentRunner("low", num_experiments=4)
+        costs = (60.0, 300.0, 900.0)
+        sweep_ckpt_cost(runner, costs, redundant=redundant)
+        run = runner.run_redundant if redundant else runner.run_single_zone
+        assert seen == [
+            (tc, run("markov-daly",
+                     paper_experiment(slack_fraction=0.15, ckpt_cost_s=tc),
+                     0.81))
+            for tc in costs
+        ]

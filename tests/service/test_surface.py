@@ -67,6 +67,11 @@ class TestSpec:
         with pytest.raises(ValueError):
             SurfaceSpec(**{**SMALL, "bids": ()})
 
+    @pytest.mark.parametrize("counts", [(0,), (-2,), (1, 0)])
+    def test_rejects_zone_counts_below_one(self, counts):
+        with pytest.raises(ValueError, match="zone count"):
+            SurfaceSpec(**{**SMALL, "zone_counts": counts})
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -99,6 +99,14 @@ class TestBuildFamily:
         with pytest.raises(ValueError, match="at least one spec"):
             builder.build_family([])
 
+    def test_zone_count_beyond_the_trace_rejected(self, tmp_path):
+        """The low window has three zones: a five-zone surface cell
+        would be three-zone runs under a five-zone label."""
+        builder = SurfaceBuilder(store=SurfaceStore(tmp_path))
+        with pytest.raises(ValueError, match="redundancy degree"):
+            builder.build_family([spec(LADDER[0], zone_counts=(1, 5))])
+        assert not list(SurfaceStore(tmp_path).surfaces())
+
 
 class TestFamilyBrackets:
     def test_intermediate_deadline_answers_warm(self, family_store):
