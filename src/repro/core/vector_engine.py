@@ -176,22 +176,28 @@ class _ColInstance:
 
 @dataclass
 class BatchStats:
-    """Where a batch's runs were served: native columns, in-batch bid
-    clones, or the per-run scalar fallback (and why)."""
+    """Where a batch's runs were served: native columns, the run cache,
+    in-batch bid clones, or the per-run scalar fallback (and why)."""
 
     native: int = 0
     cloned: int = 0
     fallback: dict[str, int] = field(default_factory=dict)
+    #: Rows of the native scope served from the run cache, not simulated.
+    cached: int = 0
 
     @property
     def total(self) -> int:
-        return self.native + self.cloned + sum(self.fallback.values())
+        return (
+            self.native + self.cached + self.cloned
+            + sum(self.fallback.values())
+        )
 
     def count_fallback(self, reason: str, n: int = 1) -> None:
         self.fallback[reason] = self.fallback.get(reason, 0) + n
 
     def merge(self, other: "BatchStats") -> None:
         self.native += other.native
+        self.cached += other.cached
         self.cloned += other.cloned
         for reason, count in other.fallback.items():
             self.count_fallback(reason, count)
@@ -209,7 +215,7 @@ class BatchStats:
                 for reason, count in sorted(self.fallback.items())
             )
             msg += f" ({detail})"
-        return msg
+        return f"{msg} cached={self.cached}"
 
 
 @dataclass
@@ -231,8 +237,8 @@ class VectorSimulator:
     #: and vice versa.  Each batch flushes the runs it stored, so they
     #: reach the disk layer as one segment.
     run_cache: object | None = None
-    #: Running native/cloned/fallback counters across every batch this
-    #: simulator served; drained by the runner for the CLI stats line.
+    #: Running native/cached/cloned/fallback counters across every batch
+    #: this simulator served; drained by the runner for the CLI stats line.
     stats: BatchStats = field(default_factory=BatchStats)
 
     def drain_stats(self) -> BatchStats:
@@ -365,11 +371,12 @@ class VectorSimulator:
             i for i in range(n) if native[policy_idx[i]] and i not in plan
         ]
         if sim_rows:
-            self._serve_rows(
+            hits = self._serve_rows(
                 configs, probes, zones, shape_idx, policy_idx, bids, starts,
                 rngs, sim_rows, results,
             )
-            self.stats.native += len(sim_rows)
+            self.stats.native += len(sim_rows) - hits
+            self.stats.cached += hits
         for i, rep in sorted(plan.items()):
             results[i] = replace(results[rep], bid=float(bids[i]))
         self.stats.cloned += len(plan)
@@ -420,12 +427,13 @@ class VectorSimulator:
                 )
             self._flush_cache()
             return results
-        self._serve_rows(
+        hits = self._serve_rows(
             configs, [PeriodicPolicy()], init_zones, shape_idx, [0] * n,
             [float(probe.bids[0])] * n, starts, rngs, range(n), results,
             controller_factory, probe.canonical_params(),
         )
-        self.stats.native += n
+        self.stats.native += n - hits
+        self.stats.cached += hits
         return results
 
     # -- shared front end --------------------------------------------------
@@ -489,9 +497,10 @@ class VectorSimulator:
     def _serve_rows(
         self, configs, policies, zones, shape_idx, policy_idx, bids, starts,
         rngs, idxs, results, controller_factory=None, controller_params=None,
-    ) -> None:
+    ) -> int:
         """Serve rows ``idxs`` from the run cache where possible and
-        simulate the rest in one lockstep batch.
+        simulate the rest in one lockstep batch; returns the number of
+        rows the cache served.
 
         Row ``i`` runs ``policies[policy_idx[i]]`` (under
         ``controller_factory``, the bootstrap policy its controller
@@ -515,8 +524,9 @@ class VectorSimulator:
                 configs, policies, zones, shape_idx, policy_idx, bids,
                 starts, rngs, idxs, results, controller_params, keys,
             )
+        hits = len(idxs) - len(todo)
         if not todo:
-            return
+            return hits
         batch, draws = self._simulate_rows(
             configs, policies, zones,
             [shape_idx[i] for i in todo],
@@ -537,6 +547,7 @@ class VectorSimulator:
                 )
         if keys:
             cache.flush()
+        return hits
 
     def _cache_lookup(
         self, configs, policies, zones, shape_idx, policy_idx, bids, starts,
@@ -867,40 +878,49 @@ class VectorSimulator:
         # staggered runs revisit the same key constantly
         upt_memo: dict = {}
 
-        def md_schedule(i: int) -> None:
-            """MarkovDalyPolicy.schedule_next_checkpoint in Python
-            floats — identical arithmetic, identical oracle values —
-            against row ``i``'s own job shape and current plan."""
-            now = float(t[i])
-            zones_i = cur_zones[i]
-            key = (
-                zones_i, float(bid_arr[i]), oracle.stats_bucket(now),
-                tuple(oracle.price(z, now) for z in zones_i),
-            )
-            uptime = upt_memo.get(key)
-            if uptime is None:
-                uptime = float(
-                    oracle.combined_uptimes(zones_i, now, (key[1],))[0]
+        def md_schedule(idx: np.ndarray) -> None:
+            """MarkovDalyPolicy.schedule_next_checkpoint for rows ``idx``
+            in Python floats — identical arithmetic, identical oracle
+            values — against each row's own job shape and current plan.
+            Price levels come from the engine's own price columns (the
+            sample ``oracle.price`` returns).  Per-row floats, not array
+            ops: call sites hold one or two rows under a controller,
+            where NumPy's per-call overhead outweighs the arithmetic."""
+            for i in idx.tolist():
+                now = float(t[i])
+                zones_i = cur_zones[i]
+                bid_i = float(bid_arr[i])
+                key = (
+                    zones_i, bid_i, oracle.stats_bucket(now),
+                    tuple(
+                        float(zprices[zidx[z]][int((now - zz0[zidx[z]]) // dt)])
+                        for z in zones_i
+                    ),
                 )
-                upt_memo[key] = uptime
-            tc_i = float(tc[i])
-            tr_i = float(tr[i])
-            interval = daly_interval(uptime, tc_i)
-            remaining_compute = max(float(C[i]) - float(committed[i]), 0.0)
-            margin = (
-                max(float(deadline[i]) - now, 0.0)
-                - remaining_compute
-                - tc_i
-                - tr_i
-            )
-            reserve = tc_i + 4.0 * 300.0  # forced-commit window + ticks
-            budget = margin - reserve
-            if budget > 0:
-                interval = max(interval, remaining_compute * tc_i / budget)
-                interval = min(interval, max(budget, tc_i))
-            else:
-                interval = max(margin, tc_i)
-            md_next[i] = now + interval
+                uptime = upt_memo.get(key)
+                if uptime is None:
+                    uptime = upt_memo[key] = float(
+                        oracle.combined_uptimes(zones_i, now, (bid_i,))[0]
+                    )
+                tc_i = float(tc[i])
+                interval = daly_interval(uptime, tc_i)
+                remaining_compute = max(
+                    float(C[i]) - float(committed[i]), 0.0
+                )
+                margin = (
+                    max(float(deadline[i]) - now, 0.0)
+                    - remaining_compute
+                    - tc_i
+                    - float(tr[i])
+                )
+                reserve = tc_i + 4.0 * 300.0  # forced-commit window + ticks
+                budget = margin - reserve
+                if budget > 0:
+                    interval = max(interval, remaining_compute * tc_i / budget)
+                    interval = min(interval, max(budget, tc_i))
+                else:
+                    interval = max(margin, tc_i)
+                md_next[i] = now + interval
 
         def make_ctx(i: int):
             """A decision context over column snapshots of row ``i``."""
@@ -951,7 +971,7 @@ class VectorSimulator:
                 rows_k[i] = k == kind
             latch[:, i] = np.nan  # the fresh policy's reset()
             if kind == "markov-daly":
-                md_schedule(i)  # schedule on the new plan
+                md_schedule(np.array([i]))  # schedule on the new plan
             else:
                 md_next[i] = np.nan
             if events is not None:
@@ -963,9 +983,8 @@ class VectorSimulator:
                     ),
                 ))
 
-        if md is not None:
-            for i in np.flatnonzero(md):  # policy reset + schedule at start
-                md_schedule(i)
+        if md is not None:  # policy reset + schedule at start
+            md_schedule(np.flatnonzero(md))
 
         max_rounds = int(float(dls.max()) // dt) + 16
         for _round in range(max_rounds):
@@ -1173,8 +1192,8 @@ class VectorSimulator:
             if md is not None:
                 timed = md & elig & (t + 1e-6 >= md_next)
                 noprog = timed & (lead_local <= committed + 1e-9)
-                for i in np.flatnonzero(noprog):
-                    md_schedule(i)  # push instead of a no-progress commit
+                # push instead of a no-progress commit
+                md_schedule(np.flatnonzero(noprog))
                 due |= timed & ~noprog
             if "threshold" in on:
                 for i in np.flatnonzero(
@@ -1239,8 +1258,8 @@ class VectorSimulator:
                             zone=zorder[zi],
                             detail=f"from-{source}-ckpt P={com:.0f}s",
                         ))
-                if md is not None and md[i]:
-                    md_schedule(i)  # one reschedule after the restarts
+            if md is not None:  # one reschedule after each row's restarts
+                md_schedule(np.flatnonzero(go & md))
             ckpt_flag &= ~alive  # cleared every tick by _policy_actions
 
             # advance every running zone by dt (instance.advance): one
@@ -1348,8 +1367,7 @@ class VectorSimulator:
                 # line 23, the re-arm after a commit, run eagerly: the
                 # next tick would read this same clock, progress, plan
                 # and bid (a controller's switch re-arms on its own)
-                for i in ci[alive[ci] & md[ci]]:
-                    md_schedule(i)
+                md_schedule(ci[alive[ci] & md[ci]])
 
             # -- vectorized _quiescent_ticks + bulk skip ------------------
             comp_mask = zst == COMPUTING

@@ -32,6 +32,7 @@ from repro.service.surface import (
     PolicySurface,
     SurfaceBuilder,
     SurfaceCell,
+    SurfaceCorruptError,
     SurfaceSpec,
     SurfaceStore,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "ServiceStats",
     "SurfaceBuilder",
     "SurfaceCell",
+    "SurfaceCorruptError",
     "SurfaceSpec",
     "SurfaceStore",
     "serve_lines",

@@ -23,6 +23,12 @@
 Identical in-flight queries are **coalesced**: concurrent ``advise``
 calls for equal :class:`JobSpec` values share one computation, so a burst
 of duplicate queries costs one lookup (or one cold build), not N.
+Surface loads are **single-flight** too: every query that needs a
+surface which is neither hot nor already being read joins one pending
+read per key, and the keys requested during one event-loop turn are
+read together in one worker-thread hop, then admitted to the LRU in
+request order.  A burst of distinct queries on one cold surface costs
+one disk read, and the hot/disk counters are exact, repeatable counts.
 :func:`serve_lines` wraps the service in a JSON-lines request loop —
 the benchmarking front end behind ``repro-spotsim serve``.
 """
@@ -183,7 +189,10 @@ class AdvisorService:
     max_hot:
         Surfaces kept deserialized in the LRU.  Evicted surfaces cost
         one disk load to re-heat; artifacts are small, so the default
-        comfortably covers a figure's worth of job shapes.
+        comfortably covers a figure's worth of job shapes.  Loads are
+        single-flight and read once per event-loop turn: concurrent
+        queries for a cold surface share one read, so a burst never
+        reads a key twice, however small ``max_hot`` is.
     builder:
         The cold path's builder.  Defaults to a
         :class:`SurfaceBuilder` over ``store`` (vector engine, the
@@ -209,6 +218,10 @@ class AdvisorService:
         self._catalog: list[SurfaceSpec] = store.catalog()
         self._hot: OrderedDict[str, PolicySurface] = OrderedDict()
         self._inflight: dict[JobSpec, asyncio.Task] = {}
+        # single-flight loads: one pending future per key being read,
+        # and the keys queued for this loop turn's read
+        self._pending: dict[str, asyncio.Future] = {}
+        self._queued: list[str] | None = None
         self.stats = ServiceStats()
 
     # -- surface selection -------------------------------------------------
@@ -289,12 +302,53 @@ class AdvisorService:
             self._hot.popitem(last=False)
 
     async def _load(self, key: str) -> PolicySurface:
+        """The surface for ``key``: from the LRU, or by joining the one
+        read of ``key`` that is queued or in flight."""
         surface = self._heat(key)
-        if surface is None:
-            surface = await asyncio.to_thread(self.store.load, key)
+        if surface is not None:
+            return surface
+        pending = self._pending.get(key)
+        if pending is None:
+            loop = asyncio.get_running_loop()
+            pending = self._pending[key] = loop.create_future()
+            if self._queued is None:
+                self._queued = []
+                loop.call_soon(self._dispatch)
+            self._queued.append(key)
+        return await asyncio.shield(pending)
+
+    def _dispatch(self) -> None:
+        """Read this loop turn's queued keys in one worker-thread hop."""
+        keys, self._queued = self._queued, None
+        hop = asyncio.ensure_future(asyncio.to_thread(self._read_keys, keys))
+        hop.add_done_callback(lambda done: self._settle(keys, done))
+
+    def _read_keys(self, keys: list[str]) -> list:
+        """``store.load`` per key (worker thread); a failure is kept as
+        that key's outcome, so it fails only the queries that joined it."""
+        outcomes: list = []
+        for key in keys:
+            try:
+                outcomes.append(self.store.load(key))
+            except Exception as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def _settle(self, keys: list[str], hop: asyncio.Future) -> None:
+        """Admit a hop's surfaces in request order, then wake the
+        queries waiting on each key."""
+        try:
+            outcomes = hop.result()
+        except BaseException as exc:  # the hop died with its loop
+            outcomes = [exc] * len(keys)
+        for key, got in zip(keys, outcomes):
+            pending = self._pending.pop(key)
+            if isinstance(got, BaseException):
+                pending.set_exception(got)
+                continue
             self.stats.disk_loads += 1
-            self._admit(surface)
-        return surface
+            self._admit(got)
+            pending.set_result(got)
 
     # -- the query path ----------------------------------------------------
 

@@ -49,6 +49,13 @@ SURFACE_SCHEMA_VERSION = 1
 #: Artifact magic, so ``surface ls`` can skip unrelated JSON files.
 SURFACE_FORMAT = "repro-surface"
 
+
+class SurfaceCorruptError(ValueError):
+    """A surface artifact file that cannot be read as the surface its
+    name promises: truncated or non-JSON text, a foreign or malformed
+    payload, or a spec that does not hash to the file's key."""
+
+
 #: Default decision grid of a built surface: the retained policies
 #: over the Figure-4 bids, single-zone and fully redundant.
 DEFAULT_POLICIES: tuple[str, ...] = RETAINED_POLICIES
@@ -328,30 +335,37 @@ class SurfaceStore:
         return path
 
     def _read(self, path: Path, key: str) -> PolicySurface:
-        surface = PolicySurface.from_payload(json.loads(path.read_text()))
+        try:
+            surface = PolicySurface.from_payload(json.loads(path.read_text()))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise SurfaceCorruptError(
+                f"corrupt surface artifact {path}: {exc!r}"
+            ) from exc
         if surface.key != key:
-            raise ValueError(
-                f"{path.name} holds surface {surface.key}, not {key}"
+            raise SurfaceCorruptError(
+                f"{path} holds surface {surface.key}, not {key}"
             )
         return surface
 
     def load(self, key: str) -> PolicySurface:
         """The artifact stored under ``key``.
 
-        Raises ``ValueError`` when the file's spec does not hash to
-        ``key`` (a copied or renamed artifact), so a surface is never
-        served under another spec's address.  This is the one place a
-        loaded spec is hashed; the key then stays memoized on it.
+        Raises :class:`SurfaceCorruptError` when the file cannot be
+        parsed as a surface, or when its spec does not hash to ``key``
+        (a copied or renamed artifact), so a surface is never served
+        under another spec's address; a missing or unreadable file
+        raises ``OSError``.  This is the one place a loaded spec is
+        hashed; the key then stays memoized on it.
         """
         return self._read(self.path(key), key)
 
     def surfaces(self) -> Iterator[PolicySurface]:
-        """Every loadable artifact in the store (unreadable, foreign or
-        misnamed JSON files are skipped, not fatal)."""
+        """Every loadable artifact in the store (unreadable, corrupt,
+        foreign or misnamed files are skipped, not fatal)."""
         for path in sorted(self.root.glob("surface-*.json")):
             try:
                 yield self._read(path, path.stem.removeprefix("surface-"))
-            except (OSError, ValueError, KeyError, json.JSONDecodeError):
+            except (OSError, SurfaceCorruptError):
                 continue
 
     def catalog(self) -> list[SurfaceSpec]:

@@ -306,6 +306,26 @@ def test_vector_hits_fast_engine_entries(low_window, config, tmp_path):
     assert vec == fast
 
 
+def test_cache_served_rows_count_as_cached(low_window, config, tmp_path):
+    """Rows the run cache serves are ``cached``, not ``native``; the
+    total (every row of the batch) is unchanged."""
+    trace, eval_start = low_window
+    zone = trace.zone_names[0]
+    starts = [eval_start + k * 3600.0 for k in range(4)]
+    cache = RunCache(str(tmp_path))
+    _fast_results(trace, config, PeriodicPolicy, 0.27, (zone,), starts[:3],
+                  record_events=False, cache=cache)
+    vec = VectorSimulator(
+        oracle=PriceOracle(trace), queue_model=QueueDelayModel(),
+        record_events=False, run_cache=cache,
+    )
+    _start_axis(vec, config, PeriodicPolicy, 0.27, (zone,), starts,
+                _start_rngs(starts))
+    assert (vec.stats.native, vec.stats.cached) == (1, 3)
+    assert vec.stats.total == len(starts)
+    assert vec.stats.line().endswith(" cached=3")
+
+
 def test_cache_hit_burns_rng_draws(low_window, config, tmp_path):
     """A vector cache hit leaves the RNG where a simulated run would."""
     trace, eval_start = low_window
@@ -471,17 +491,18 @@ def test_engine_only_emits_enum_reasons(low_window, config):
 def test_batch_stats_merge_preserves_reasons():
     """Merging (the executor's worker-extras path) keeps the per-reason
     breakdown intact — no collapsing into an undifferentiated total."""
-    a = BatchStats(native=3, cloned=1)
+    a = BatchStats(native=3, cloned=1, cached=2)
     a.count_fallback(FALLBACK_POLICY, 2)
-    b = BatchStats(native=2)
+    b = BatchStats(native=2, cached=1)
     b.count_fallback(FALLBACK_POLICY)
     b.count_fallback(FALLBACK_CONTROLLER, 4)
     a.merge(b)
-    assert a.native == 5 and a.cloned == 1
+    assert a.native == 5 and a.cloned == 1 and a.cached == 3
     assert a.fallback == {FALLBACK_POLICY: 3, FALLBACK_CONTROLLER: 4}
-    assert a.total == 13
+    assert a.total == 16
     line = a.line()
     assert line.startswith("vector-engine: native=5 cloned=1 fallback=7")
+    assert line.endswith(" cached=3")
     for reason in a.fallback:
         assert f"{reason}={a.fallback[reason]}" in line
         assert reason in FALLBACK_REASONS

@@ -21,6 +21,7 @@ from repro.service import (
     AdvisorService,
     JobSpec,
     SurfaceBuilder,
+    SurfaceCorruptError,
     SurfaceSpec,
     SurfaceStore,
     serve_lines,
@@ -174,6 +175,100 @@ class TestCoalescingAndLRU:
         run(service.advise(job()))                      # A is hot now
         assert service.stats.hot_hits == 1
         assert service.stats.disk_loads == 3
+
+
+class TestSingleFlightLoads:
+    """A surface is read once per event-loop turn, however many queries
+    want it, and admitted to the LRU in request order."""
+
+    @pytest.fixture(scope="class")
+    def ladder_store(self, tmp_path_factory):
+        store = SurfaceStore(tmp_path_factory.mktemp("ladder"))
+        SurfaceBuilder(store=store).build_family(
+            [SurfaceSpec(deadline_s=h * 3600.0, **BASE) for h in (3, 4, 5)]
+        )
+        return store
+
+    @staticmethod
+    def _serve(service, batches):
+        async def go():
+            for batch in batches:
+                await asyncio.gather(*(service.advise(j) for j in batch))
+
+        run(go())
+        return service.stats
+
+    def test_distinct_queries_on_a_cold_surface_read_it_once(self, store):
+        service = AdvisorService(store)
+        stats = self._serve(service, [
+            [job(budget=b) for b in (5.0, 10.0, 20.0, 1e9)],
+        ])
+        assert (stats.queries, stats.coalesced) == (4, 0)
+        assert (stats.disk_loads, stats.hot_hits) == (1, 0)
+
+    def test_one_turn_is_one_read_admitted_in_request_order(
+        self, ladder_store
+    ):
+        service = AdvisorService(ladder_store, max_hot=1)
+        three, four = job(3 * 3600.0), job(4 * 3600.0)
+        stats = self._serve(service, [[three, four, job(3 * 3600.0, budget=9.0)]])
+        assert (stats.disk_loads, stats.hot_hits) == (2, 0)
+        self._serve(service, [[four]])  # admitted last, so still hot
+        assert (stats.disk_loads, stats.hot_hits) == (2, 1)
+        self._serve(service, [[three]])  # evicted by four
+        assert (stats.disk_loads, stats.hot_hits) == (3, 1)
+
+    def test_replayed_stream_gives_identical_counts(self, ladder_store):
+        rng = np.random.default_rng(7)
+        batches = [
+            [
+                job(
+                    float(rng.choice([3.0, 3.5, 4.0, 4.25, 5.0])) * 3600.0,
+                    budget=None if rng.random() < 0.5 else float(rng.uniform(1, 30)),
+                )
+                for _ in range(12)
+            ]
+            for _ in range(6)
+        ]
+        counts = {
+            (s.hot_hits, s.disk_loads, s.interpolated, s.coalesced)
+            for s in (
+                self._serve(AdvisorService(ladder_store, max_hot=1), batches)
+                for _ in range(3)
+            )
+        }
+        assert len(counts) == 1, counts
+        (hot_hits, disk_loads, interpolated, _), = counts
+        assert hot_hits > 0 and disk_loads > 0 and interpolated > 0
+
+    def test_failed_read_fails_its_queries_and_is_retried(self, store, tmp_path):
+        fresh = SurfaceStore(tmp_path)
+        path = fresh.save(store.load(SurfaceSpec(deadline_s=DEADLINE, **BASE).key()))
+        good = path.read_text()
+        service = AdvisorService(fresh)
+        path.write_text(good[: len(good) // 2])
+
+        async def burst():
+            return await asyncio.gather(
+                *(service.advise(job(budget=b)) for b in (5.0, 1e9)),
+                return_exceptions=True,
+            )
+
+        for _ in range(2):  # a failure is never cached
+            errors = run(burst())
+            assert all(isinstance(e, SurfaceCorruptError) for e in errors)
+            assert path.name in str(errors[0])
+            assert not service._pending and not service._hot
+        assert service.stats.disk_loads == 0
+        line = json.dumps({"id": 1, "compute_s": BASE["compute_s"],
+                           "deadline_s": DEADLINE,
+                           "ckpt_cost_s": BASE["ckpt_cost_s"]})
+        out = io.StringIO()
+        assert run(serve_lines(service, [line], out)) == 0
+        assert "corrupt surface artifact" in json.loads(out.getvalue())["error"]
+        path.write_text(good)
+        assert run(service.advise(job())).source == "surface"
+        assert service.stats.disk_loads == 1
 
 
 class TestInterpolatedPath:

@@ -10,12 +10,13 @@ import pytest
 from repro.cli import build_parser, main
 from repro.core.vector_engine import FALLBACK_REASONS
 
-#: The stderr stats line's whole grammar: fixed counters, then an
-#: optional parenthesized reason tally.  Reasons are validated against
-#: the closed FALLBACK_REASONS enum separately.
+#: The stderr stats line's whole grammar: fixed counters, an optional
+#: parenthesized reason tally, then the run-cache-served row count.
+#: Reasons are validated against the closed FALLBACK_REASONS enum
+#: separately.
 VECTOR_LINE = re.compile(
     r"^vector-engine: native=\d+ cloned=\d+ fallback=\d+"
-    r"(?: \((?:[a-z-]+=\d+)(?: [a-z-]+=\d+)*\))?$"
+    r"(?: \((?:[a-z-]+=\d+)(?: [a-z-]+=\d+)*\))? cached=\d+$"
 )
 
 SMALL = ["--experiments", "2", "--compute-hours", "2",

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.service.advisor import AdvisorService
 from repro.service.surface import (
     SURFACE_SCHEMA_VERSION,
     PolicySurface,
     SurfaceBuilder,
     SurfaceCell,
+    SurfaceCorruptError,
     SurfaceSpec,
     SurfaceStore,
 )
@@ -232,6 +234,33 @@ class TestStore:
         assert fresh.load(surface.key) == surface
         assert [s.key for s in fresh.surfaces()] == [surface.key]
         assert fresh.catalog() == [surface.spec]
+
+    @pytest.mark.parametrize("damage", ["truncated", "no-cells", "bad-cell"])
+    def test_corrupt_artifact_is_typed_and_skipped(self, built, tmp_path, damage):
+        """A damaged artifact loads as one typed error naming the file,
+        and the store's listing skips it instead of crashing."""
+        store, surface = built
+        fresh = SurfaceStore(tmp_path)
+        path = fresh.save(surface)
+        text = path.read_text()
+        payload = json.loads(text)
+        if damage == "truncated":
+            path.write_text(text[: len(text) // 2])
+        elif damage == "no-cells":
+            del payload["cells"]
+            path.write_text(json.dumps(payload))
+        else:
+            payload["cells"][0] = ["periodic", 1]
+            path.write_text(json.dumps(payload))
+        with pytest.raises(SurfaceCorruptError, match=path.name):
+            fresh.load(surface.key)
+        assert list(fresh.surfaces()) == []
+        assert fresh.catalog() == []
+        AdvisorService(fresh)  # indexes the catalog without raising
+
+    def test_missing_artifact_is_not_corrupt(self, tmp_path):
+        with pytest.raises(OSError):
+            SurfaceStore(tmp_path).load(SurfaceSpec(**SMALL).key())
 
     def test_rebuild_is_identical_and_cache_backed(self, built):
         """Same spec -> same artifact; the second build runs over the

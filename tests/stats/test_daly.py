@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.stats.daly import (
     daly_interval,
+    daly_interval_batch,
     daly_interval_first_order,
     expected_useful_fraction,
 )
@@ -61,6 +63,25 @@ def test_interval_positive_and_finite(m, delta):
     tau = daly_interval(m, delta)
     assert math.isfinite(tau)
     assert tau >= delta
+
+
+@given(
+    mtbfs=st.lists(
+        st.one_of(
+            st.floats(min_value=-1e4, max_value=0.0),
+            st.floats(min_value=1e-3, max_value=1e8),
+        ),
+        min_size=1, max_size=16,
+    ),
+    delta=st.floats(min_value=1e-3, max_value=1e5),
+)
+def test_batch_is_bit_identical_to_scalar(mtbfs, delta):
+    """The vector form equals the scalar form bit for bit, across
+    ``m <= 0``, ``delta >= 2m`` and Daly's regime — Adaptive's candidate
+    grid relies on it."""
+    got = daly_interval_batch(np.array(mtbfs), delta)
+    want = np.array([daly_interval(m, delta) for m in mtbfs])
+    assert got.tobytes() == want.tobytes()
 
 
 class TestUsefulFraction:
