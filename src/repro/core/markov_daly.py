@@ -13,9 +13,59 @@ checkpoints — as N grows.
 
 from __future__ import annotations
 
+from typing import Callable
+
+from repro.app.workload import ExperimentConfig
 from repro.core.policy import CheckpointPolicy, PolicyContext
 from repro.market.instance import ZoneInstance
 from repro.stats.daly import daly_interval
+
+
+def markov_daly_interval(
+    config: ExperimentConfig,
+    remaining_time_s: float,
+    committed_s: float,
+    uptime: Callable[[], float],
+) -> float:
+    """Daly's interval on E[T_u] = ``uptime()``, clamped into the
+    deadline-feasible band of a ``config`` job.
+
+    The engine guarantees D on *committed* progress, so two deadline
+    constraints bound the usable interval beyond Daly's market-driven
+    optimum:
+
+    * **Afford-all-commits floor** — each commit burns ``t_c`` of
+      slack; finishing the remaining computation within the slack
+      budget needs intervals of at least ``C_r * t_c / budget``.
+      Checkpointing more often than that spends slack faster than it
+      buys safety, which degenerates into an early switch to on-demand.
+    * **Committed-lag ceiling** — the committed margin decays one second
+      per second between commits, so an interval longer than the
+      current margin (minus the engine's forced-commit reserve) would
+      trip the forced-commit floor anyway.
+
+    When the band is empty (the experiment cannot afford Daly-rate
+    commits *and* has little margin), the ceiling wins: commit as late
+    as the margin allows and maximize spot progress before the
+    inevitable on-demand switch.  ``uptime`` is called only when its
+    value can change the result.
+    """
+    ckpt_cost_s = config.ckpt_cost_s
+    remaining_compute = max(config.compute_s - committed_s, 0.0)
+    margin = (
+        remaining_time_s - remaining_compute - ckpt_cost_s
+        - config.restart_cost_s
+    )
+    reserve = ckpt_cost_s + 4.0 * 300.0  # forced-commit window + ticks
+    budget = margin - reserve
+    if budget > 0:
+        afford_floor = remaining_compute * ckpt_cost_s / budget
+        ceiling = max(budget, ckpt_cost_s)
+        if afford_floor >= ceiling:
+            return ceiling
+        interval = daly_interval(uptime(), ckpt_cost_s)
+        return min(max(interval, afford_floor), ceiling)
+    return max(margin, ckpt_cost_s)
 
 
 class MarkovDalyPolicy(CheckpointPolicy):
@@ -23,7 +73,7 @@ class MarkovDalyPolicy(CheckpointPolicy):
 
     name = "markov-daly"
     # the vector engine carries the re-arm clock T_s as a batch column
-    # and replays schedule_next_checkpoint's arithmetic per run
+    # and schedules it through markov_daly_interval per run
     vector_kind = "markov-daly"
 
     def __init__(self) -> None:
@@ -37,62 +87,17 @@ class MarkovDalyPolicy(CheckpointPolicy):
         """The currently armed T_s (None before the first schedule)."""
         return self._next_checkpoint_at
 
-    def expected_uptime(self, ctx: PolicyContext) -> float:
-        """Combined E[T_u] over the configuration's zones, seconds.
-
-        Served by the oracle's batch uptime API: the absorbing-chain
-        solve is memoized per (zone, hour bucket, price level, up-state
-        set), so re-arming the schedule after every commit and restart
-        costs a dictionary lookup, not a linear solve.
-        """
-        return float(
-            ctx.oracle.combined_uptimes(ctx.zones, ctx.now, (ctx.bid,))[0]
-        )
-
     def schedule_next_checkpoint(self, ctx: PolicyContext) -> None:
-        """Daly's interval, clamped into the deadline-feasible band.
-
-        The engine guarantees D on *committed* progress, so two
-        deadline constraints bound the usable interval beyond Daly's
-        market-driven optimum:
-
-        * **Afford-all-commits floor** — each commit burns ``t_c`` of
-          slack; finishing the remaining computation within the slack
-          budget needs intervals of at least ``C_r * t_c / budget``.
-          Checkpointing more often than that spends slack faster than
-          it buys safety, which degenerates into an early switch to
-          on-demand.
-        * **Committed-lag ceiling** — the committed margin decays one
-          second per second between commits, so an interval longer
-          than the current margin (minus the engine's forced-commit
-          reserve) would trip the forced-commit floor anyway.
-
-        When the band is empty (the experiment cannot afford Daly-rate
-        commits *and* has little margin), the ceiling wins: commit as
-        late as the margin allows and maximize spot progress before
-        the inevitable on-demand switch.
-        """
-        config = ctx.config
-        uptime = self.expected_uptime(ctx)
-        interval = daly_interval(uptime, config.ckpt_cost_s)
-
-        committed = ctx.run.committed_progress_s()
-        remaining_compute = max(config.compute_s - committed, 0.0)
-        margin = (
-            ctx.run.remaining_time_s(ctx.now)
-            - remaining_compute
-            - config.ckpt_cost_s
-            - config.restart_cost_s
+        """Arm T_s one :func:`markov_daly_interval` from now, on the
+        configuration's combined E[T_u]."""
+        self._next_checkpoint_at = ctx.now + markov_daly_interval(
+            ctx.config,
+            ctx.run.remaining_time_s(ctx.now),
+            ctx.run.committed_progress_s(),
+            lambda: ctx.oracle.combined_expected_uptime(
+                ctx.zones, ctx.now, ctx.bid
+            ),
         )
-        reserve = config.ckpt_cost_s + 4.0 * 300.0  # forced-commit window + ticks
-        budget = margin - reserve
-        if budget > 0:
-            afford_floor = remaining_compute * config.ckpt_cost_s / budget
-            interval = max(interval, afford_floor)
-            interval = min(interval, max(budget, config.ckpt_cost_s))
-        else:
-            interval = max(margin, config.ckpt_cost_s)
-        self._next_checkpoint_at = ctx.now + interval
 
     def checkpoint_due(self, ctx: PolicyContext, leader: ZoneInstance) -> bool:
         if self._next_checkpoint_at is None:

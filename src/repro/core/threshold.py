@@ -25,6 +25,39 @@ from repro.core.policy import CheckpointPolicy, PolicyContext
 from repro.market.instance import ZoneInstance, ZoneState
 
 
+def guards_fire(
+    oracle, zone: str, now: float, bid: float, rising: bool, price: float,
+    exec_time: float,
+) -> tuple[bool, float]:
+    """``CheckpointCondition()`` on one executing zone: whether a
+    guard fires, and the TimeThresh it read.  One cached oracle call
+    (S_min by window, the mean up-run by hour bucket) serves both."""
+    s_min, time_thresh = oracle.threshold_stats(zone, now, bid)
+    if rising and price >= 0.5 * (s_min + bid):
+        return True, time_thresh
+    return time_thresh > 0 and exec_time > time_thresh, time_thresh
+
+
+def time_guard_bound(
+    oracle, zone: str, now: float, bid: float, since: float,
+    time_thresh: float, edge_t: float,
+) -> float:
+    """When the time guard of a zone executing since ``since`` can
+    first fire before the rising edge at ``edge_t`` (else ``edge_t``).
+    TimeThresh is refreshed every hour bucket, but each bucket's is
+    anchored at its boundary, so the scan walks bucket by bucket."""
+    bucket_start = math.floor(now / 3600.0) * 3600.0
+    thresh = time_thresh
+    while True:
+        bucket_end = bucket_start + 3600.0
+        if thresh > 0 and since + thresh < min(bucket_end, edge_t):
+            return max(since + thresh, bucket_start)
+        if bucket_end >= edge_t:
+            return edge_t
+        bucket_start = bucket_end
+        thresh = oracle.mean_up_run(zone, bucket_start, bid)
+
+
 class ThresholdPolicy(CheckpointPolicy):
     """Two-threshold checkpoint scheduling (price + execution time)."""
 
@@ -39,32 +72,17 @@ class ThresholdPolicy(CheckpointPolicy):
         s_min, _ = ctx.oracle.threshold_stats(zone, ctx.now, ctx.bid)
         return 0.5 * (s_min + ctx.bid)
 
-    def time_threshold(self, ctx: PolicyContext, zone: str) -> float:
-        """Probabilistic average up time of the zone at B, seconds."""
-        return ctx.oracle.threshold_stats(zone, ctx.now, ctx.bid)[1]
-
     def checkpoint_due(self, ctx: PolicyContext, leader: ZoneInstance) -> bool:
         if leader.local_progress_s <= ctx.run.committed_progress_s() + 1e-9:
             return False
         for zone, inst in ctx.instances.items():
             if zone not in ctx.zones or inst.state is not ZoneState.COMPUTING:
                 continue
-            # One cached oracle call serves both guards: S_min is
-            # memoized by the window's exact sample range and the mean
-            # up-run by (zone, hour bucket, bid), so the per-tick cost
-            # across the sweep's overlapping experiments is two
-            # dictionary lookups.
-            s_min, time_thresh = ctx.oracle.threshold_stats(
-                zone, ctx.now, ctx.bid
-            )
-            price = ctx.price(zone)
-            if (
-                ctx.oracle.is_rising_edge(zone, ctx.now)
-                and price >= 0.5 * (s_min + ctx.bid)
-            ):
-                return True
-            exec_time = inst.execution_time_at_bid(ctx.now)
-            if time_thresh > 0 and exec_time > time_thresh:
+            if guards_fire(
+                ctx.oracle, zone, ctx.now, ctx.bid,
+                ctx.oracle.is_rising_edge(zone, ctx.now), ctx.price(zone),
+                inst.execution_time_at_bid(ctx.now),
+            )[0]:
                 return True
         return False
 
@@ -73,16 +91,11 @@ class ThresholdPolicy(CheckpointPolicy):
 
     def fast_forward_until(self, ctx: PolicyContext) -> float:
         """Earliest possible trigger: the next rising edge or the next
-        time-threshold expiry.
+        time-threshold expiry (:func:`time_guard_bound`).
 
         This mirrors :meth:`checkpoint_due`'s evaluation at ``ctx.now``
         — same zone order, same ``threshold_stats`` calls, same early
-        return on a trigger.  ``TimeThresh`` is refreshed every hour
-        bucket, but the oracle anchors each bucket's statistics at the
-        bucket boundary, so future buckets' thresholds are computable
-        *now*: the expiry scan walks bucket by bucket up to the next
-        rising edge (where the engine stops anyway) instead of clamping
-        every skip to the current hour.
+        return on a trigger.
         """
         leader = ctx.leader()
         if leader is None:
@@ -95,33 +108,17 @@ class ThresholdPolicy(CheckpointPolicy):
         for zone, inst in ctx.instances.items():
             if zone not in ctx.zones or inst.state is not ZoneState.COMPUTING:
                 continue
-            s_min, time_thresh = oracle.threshold_stats(
-                zone, ctx.now, ctx.bid
-            )
             z = oracle.trace.zone(zone)
             i = z.index_at(ctx.now)
-            if z.is_rising_edge_at(i) and float(z.prices[i]) >= 0.5 * (
-                s_min + ctx.bid
-            ):
+            fired, time_thresh = guards_fire(
+                oracle, zone, ctx.now, ctx.bid, z.is_rising_edge_at(i),
+                float(z.prices[i]), inst.execution_time_at_bid(ctx.now),
+            )
+            if fired:
                 return ctx.now  # checkpoint_due returns True right here
-            exec_time = inst.execution_time_at_bid(ctx.now)
-            if time_thresh > 0 and exec_time > time_thresh:
-                return ctx.now
-            j = z.next_rising_edge(i)
-            edge_t = z.start_time + j * z.interval_s
-            zone_bound = edge_t
+            edge_t = z.start_time + z.next_rising_edge(i) * z.interval_s
             cs = inst.computing_since
-            if cs is not None:
-                bucket_start = math.floor(ctx.now / 3600.0) * 3600.0
-                thresh = time_thresh
-                while True:
-                    bucket_end = bucket_start + 3600.0
-                    if thresh > 0 and cs + thresh < min(bucket_end, edge_t):
-                        zone_bound = max(cs + thresh, bucket_start)
-                        break
-                    if bucket_end >= edge_t:
-                        break
-                    bucket_start = bucket_end
-                    thresh = oracle.mean_up_run(zone, bucket_start, ctx.bid)
-            bound = min(bound, zone_bound)
+            bound = min(bound, edge_t if cs is None else time_guard_bound(
+                oracle, zone, ctx.now, ctx.bid, cs, time_thresh, edge_t
+            ))
         return bound

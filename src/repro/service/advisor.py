@@ -184,8 +184,8 @@ class AdvisorService:
     ----------
     store:
         The artifact directory; its catalog is indexed once at
-        construction and refreshed whenever the cold path adds a
-        surface.
+        construction, refreshed whenever the cold path adds a surface,
+        and drops an artifact found deleted when a query reads it.
     max_hot:
         Surfaces kept deserialized in the LRU.  Evicted surfaces cost
         one disk load to re-heat; artifacts are small, so the default
@@ -301,9 +301,12 @@ class AdvisorService:
         while len(self._hot) > self.max_hot:
             self._hot.popitem(last=False)
 
-    async def _load(self, key: str) -> PolicySurface:
-        """The surface for ``key``: from the LRU, or by joining the one
-        read of ``key`` that is queued or in flight."""
+    async def _load(self, spec: SurfaceSpec) -> PolicySurface | None:
+        """The surface of catalog ``spec``: from the LRU, or by joining
+        the one read of its key that is queued or in flight.  ``None``
+        if the artifact was deleted since the catalog was read; the
+        spec then leaves the catalog."""
+        key = spec.key()
         surface = self._heat(key)
         if surface is not None:
             return surface
@@ -315,7 +318,12 @@ class AdvisorService:
                 self._queued = []
                 loop.call_soon(self._dispatch)
             self._queued.append(key)
-        return await asyncio.shield(pending)
+        try:
+            return await asyncio.shield(pending)
+        except FileNotFoundError:
+            if spec in self._catalog:
+                self._catalog.remove(spec)
+            return None
 
     def _dispatch(self) -> None:
         """Read this loop turn's queued keys in one worker-thread hop."""
@@ -383,7 +391,9 @@ class AdvisorService:
         await asyncio.sleep(0)
         spec = self._matching_spec(job)
         if spec is not None:
-            surface = await self._load(spec.key())
+            surface = await self._load(spec)
+            if surface is None:  # resolve again without it
+                return await self._compute(job)
             best = surface.best(job.budget)
             if best is not None:
                 return _advice_from_cell(best, surface, "surface", job.budget)
@@ -403,8 +413,10 @@ class AdvisorService:
                 if job.deadline_s - lo.deadline_s <= hi.deadline_s - job.deadline_s
                 else (hi, lo)
             )
-            near_surface = await self._load(near.key())
-            far_surface = await self._load(far.key())
+            near_surface = await self._load(near)
+            far_surface = await self._load(far)
+            if near_surface is None or far_surface is None:
+                return await self._compute(job)
             best = near_surface.best(job.budget) or near_surface.best()
             if best is not None:
                 cost = best.expected_cost

@@ -67,7 +67,9 @@ def daly_interval_batch(
         raise ValueError(f"checkpoint cost must be positive, got {ckpt_cost_s}")
     delta = float(ckpt_cost_s)
     m = np.asarray(mtbf_s, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # lanes with m <= 0 (or delta >= 2m) may divide by zero or overflow
+    # here; the masks below discard them
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = delta / (2.0 * m)
         tau = np.sqrt(2.0 * delta * m) * (
             1.0 + np.sqrt(ratio) / 3.0 + delta / (18.0 * m)

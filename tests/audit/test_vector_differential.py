@@ -308,3 +308,21 @@ def _audited_stream(report):
     baseline: identical runs means the engine log *is* the stream's
     log-kind projection, which is all the helper consumes."""
     return list(report.fast_results[0].events)
+
+
+@pytest.mark.parametrize(
+    "label,factory,bid", PAPER_POLICIES[:4], ids=[p[0] for p in PAPER_POLICIES[:4]]
+)
+def test_vector_differential_inexact_fractional_starts(
+    label, factory, bid, low_window, config
+):
+    """Starts whose clock sums round (0.1 s is not a binary fraction):
+    bulk skips must add the tick one float addition at a time, as the
+    scalar engine does, and place every hour roll of a two-zone cell
+    at the tick that crossed it."""
+    trace, eval_start = low_window
+    report = vector_differential_cube(
+        trace, [config], [factory], [bid], trace.zone_names[:2],
+        [[eval_start + 0.1, eval_start + 3600.3, eval_start + 1234.567]],
+    )
+    assert report.ok, "\n".join(report.summary_lines())

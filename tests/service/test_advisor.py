@@ -319,6 +319,30 @@ class TestColdPath:
         assert second.expected_cost == first.expected_cost
 
 
+class TestStaleCatalog:
+    def test_deleted_artifact_falls_through_to_the_cold_path(self, tmp_path):
+        store = SurfaceStore(tmp_path)
+        spec = SurfaceSpec(deadline_s=DEADLINE, **BASE)
+        SurfaceBuilder(store=store).build_family([spec])
+        service = AdvisorService(store, cold_spec=spec)
+        store.path(spec.key()).unlink()  # deleted after the catalog read
+        first = run(service.advise(job()))
+        second = run(service.advise(job()))
+        assert (first.source, second.source) == ("cold", "surface")
+        assert service.stats.cold_builds == 1
+        assert store.path(spec.key()).exists()  # the rebuild wrote it back
+
+    def test_deleted_bracket_is_not_interpolated(self, tmp_path):
+        store = SurfaceStore(tmp_path)
+        specs = [SurfaceSpec(deadline_s=h * 3600.0, **BASE) for h in (3, 4)]
+        SurfaceBuilder(store=store).build_family(specs)
+        service = AdvisorService(store, cold_spec=specs[0])
+        store.path(specs[1].key()).unlink()
+        advice = run(service.advise(job(deadline_s=3.5 * 3600.0)))
+        assert advice.source == "cold"
+        assert service.stats.interpolated == 0
+
+
 class TestServeLines:
     def test_batch_coalesces_and_keeps_order(self, store):
         q = json.dumps(

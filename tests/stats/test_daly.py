@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.stats.daly import (
@@ -75,6 +75,8 @@ def test_interval_positive_and_finite(m, delta):
     ),
     delta=st.floats(min_value=1e-3, max_value=1e5),
 )
+@example(mtbfs=[-2.2250738585072014e-308], delta=8.0)
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_batch_is_bit_identical_to_scalar(mtbfs, delta):
     """The vector form equals the scalar form bit for bit, across
     ``m <= 0``, ``delta >= 2m`` and Daly's regime — Adaptive's candidate
