@@ -11,12 +11,16 @@ from __future__ import annotations
 
 from benchmarks.conftest import num_experiments
 from repro.experiments import figures, reporting
+from repro.experiments.runner import ExperimentRunner
 
 
 def test_headline_claims(benchmark):
+    scale = max(num_experiments() // 2, 10)
+    runners = {w: ExperimentRunner(w, num_experiments=scale)
+               for w in ("low", "high")}
     claims = benchmark.pedantic(
         figures.headline_claims,
-        kwargs={"num_experiments": max(num_experiments() // 2, 10)},
+        args=(runners,),
         rounds=1,
         iterations=1,
     )

@@ -17,12 +17,11 @@ EXPERIMENTS.md discusses the deviations.)
 from __future__ import annotations
 
 from repro.experiments import figures, reporting
-from benchmarks.conftest import num_experiments
 
 
-def test_table2(benchmark):
+def test_table2(benchmark, low_runner, high_runner):
     rows = benchmark.pedantic(
-        figures.table2, kwargs={"num_experiments": num_experiments()},
+        figures.table2, args=({"low": low_runner, "high": high_runner},),
         rounds=1, iterations=1,
     )
     print()

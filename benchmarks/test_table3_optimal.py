@@ -16,12 +16,11 @@ high-volatility row favouring a high bid.
 from __future__ import annotations
 
 from repro.experiments import figures, reporting
-from benchmarks.conftest import num_experiments
 
 
-def test_table3(benchmark):
+def test_table3(benchmark, low_runner, high_runner):
     rows = benchmark.pedantic(
-        figures.table3, kwargs={"num_experiments": num_experiments()},
+        figures.table3, args=({"low": low_runner, "high": high_runner},),
         rounds=1, iterations=1,
     )
     print()

@@ -18,13 +18,32 @@
     repro-spotsim advise --store surfaces/ --slack 0.5 --budget 25
     repro-spotsim serve --store surfaces/ < queries.jsonl
 
-All commands accept ``--experiments N`` (default 20 here; the paper
-and the benchmark suite use 80), ``--seed``, and ``--workers N`` to
-fan experiment grids over worker processes (results are identical to
-a serial run).  ``--audit`` attaches the run-audit layer
-(:mod:`repro.audit`) to every simulation — invariants are checked on
-each run, a summary is printed, and the process exits 1 if any
-violation was found; ``--audit-out PATH`` additionally streams the
+Each command registers only the run options it honours; any other
+option exits 2 with an argparse error:
+
+===========================================  =============================
+command                                      run options
+===========================================  =============================
+fig4 fig5 fig6 table2 table3 headline sweep  ``--experiments --seed
+                                             --workers --engine --audit
+                                             --audit-out --cache-dir``
+fig1 run                                     ``--seed --engine {fast,tick}
+                                             --audit --audit-out
+                                             --cache-dir``
+surface advise serve                         ``--experiments --seed
+                                             --workers --cache-dir``
+fig2 var export-trace                        ``--seed``
+queuing cache                                none
+===========================================  =============================
+
+``--experiments N`` sets the overlapping experiment chunks per cell
+(default 20 here; the paper and the benchmark suite use 80),
+``--workers N`` fans experiment grids over worker processes (results
+are identical to a serial run) and ``--engine`` picks the simulation
+engine (bit-identical results).  ``--audit`` attaches the run-audit
+layer (:mod:`repro.audit`) to every simulation — invariants are
+checked on each run, a summary is printed, and the process exits 1 if
+any violation was found; ``--audit-out PATH`` additionally streams the
 structured event log as JSONL.
 
 ``--cache-dir DIR`` enables the content-addressed run cache
@@ -44,6 +63,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import ExitStack, contextmanager
 
 import numpy as np
 
@@ -66,55 +86,70 @@ def _positive_int(value: str) -> int:
     return n
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--experiments", type=int, default=20,
-                        help="overlapping experiment chunks per cell (paper: 80)")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="worker processes for experiment grids "
-                             "(results are identical to --workers 1)")
-    parser.add_argument("--engine", choices=("fast", "tick", "vector"),
-                        default="fast",
-                        help="simulation engine: 'fast' skips event-free "
-                             "segments for a lone (policy, shape, bid) cell "
-                             "and advances cubes of several cells in "
-                             "lockstep through the struct-of-arrays engine, "
-                             "'tick' runs the reference tick-by-tick loop "
-                             "everywhere, 'vector' batches every cell, with "
-                             "per-run fast fallback (results are "
-                             "bit-identical across all three; a "
-                             "'vector-engine: native=...' summary goes to "
-                             "stderr)")
-    parser.add_argument("--audit", action="store_true",
-                        help="attach the run-audit layer: validate billing, "
-                             "progress, state-machine and deadline invariants "
-                             "on every run (exit status 1 on any violation)")
-    parser.add_argument("--audit-out", metavar="PATH", default=None,
-                        help="stream structured audit events as JSONL to PATH "
-                             "(implies --audit; with --workers N each worker "
-                             "appends to PATH.w<pid>)")
-    parser.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="content-addressed run cache directory: engine "
-                             "runs are memoized on disk as checksummed, "
-                             "atomically published segments (one per batch of "
-                             "runs), so warm reruns skip simulation with "
-                             "identical results; corrupt segments and legacy "
-                             ".pkl directories miss (created if missing; see "
-                             "the 'cache' command to inspect)")
+#: Every run option, by flag name; each subcommand registers only the
+#: ones it honours (see the module docstring's table).
+_OPTIONS: dict[str, dict] = {
+    "experiments": dict(
+        type=int, default=20,
+        help="overlapping experiment chunks per cell (paper: 80)"),
+    "seed": dict(type=int, default=DEFAULT_SEED),
+    "workers": dict(
+        type=_positive_int, default=1,
+        help="worker processes for experiment grids "
+             "(results are identical to --workers 1)"),
+    "engine": dict(
+        choices=("fast", "tick", "vector"), default="fast",
+        help="simulation engine: 'fast' skips event-free segments for a "
+             "lone (policy, shape, bid) cell and advances cubes of several "
+             "cells in lockstep through the struct-of-arrays engine, 'tick' "
+             "runs the reference tick-by-tick loop everywhere, 'vector' "
+             "batches every cell, with per-run fast fallback (results are "
+             "bit-identical across all three; a 'vector-engine: "
+             "native=...' summary goes to stderr)"),
+    "audit": dict(
+        action="store_true",
+        help="attach the run-audit layer: validate billing, progress, "
+             "state-machine and deadline invariants on every run (exit "
+             "status 1 on any violation)"),
+    "audit-out": dict(
+        metavar="PATH", default=None,
+        help="stream structured audit events as JSONL to PATH (implies "
+             "--audit; with --workers N each worker appends to "
+             "PATH.w<pid>)"),
+    "cache-dir": dict(
+        metavar="DIR", default=None,
+        help="content-addressed run cache directory: engine runs are "
+             "memoized on disk as checksummed, atomically published "
+             "segments (one per batch of runs), so warm reruns skip "
+             "simulation with identical results; corrupt segments and "
+             "legacy .pkl directories miss (created if missing; see the "
+             "'cache' command to inspect)"),
+}
+
+_GRID_OPTIONS: tuple[str, ...] = tuple(_OPTIONS)
+_SINGLE_RUN_OPTIONS: tuple[str, ...] = (
+    "seed", "engine", "audit", "audit-out", "cache-dir",
+)
+_SURFACE_OPTIONS: tuple[str, ...] = ("experiments", "seed", "workers", "cache-dir")
+
+#: A lone simulation has no grid to batch: fig1 and run offer the two
+#: per-run engines only.
+_SINGLE_RUN_ENGINE = dict(
+    choices=("fast", "tick"),
+    help="simulation engine: 'fast' skips event-free segments, 'tick' "
+         "runs the reference tick-by-tick loop (bit-identical results)",
+)
+
+
+def _add_options(parser: argparse.ArgumentParser, names: tuple[str, ...],
+                 **overrides: dict) -> None:
+    for name in names:
+        parser.add_argument(f"--{name}",
+                            **{**_OPTIONS[name], **overrides.get(name, {})})
 
 
 def _audit_enabled(args: argparse.Namespace) -> bool:
     return args.audit or args.audit_out is not None
-
-
-def _make_auditor(args: argparse.Namespace):
-    """Auditor for the direct-simulator commands (fig1, run)."""
-    if not _audit_enabled(args):
-        return None
-    from repro.audit import JsonlSink, RunAuditor
-
-    sink = JsonlSink(args.audit_out) if args.audit_out else None
-    return RunAuditor(sink=sink)
 
 
 def _report_audit(report) -> int:
@@ -124,47 +159,95 @@ def _report_audit(report) -> int:
     return 0 if report.ok else 1
 
 
-def _make_cache(args: argparse.Namespace):
-    """Run cache for the direct-simulator commands (fig1, run)."""
-    if args.cache_dir is None:
-        return None
-    from repro.experiments.cache import RunCache
-
-    return RunCache(args.cache_dir)
-
-
 def _report_cache(args: argparse.Namespace, stats) -> None:
-    """Print the hit/miss summary to stderr (CI greps for misses=0).
-
-    ``stats`` is ``None`` when no cache is configured — then nothing is
-    printed at all (no zero-hit noise on uncached commands).
-    """
-    if stats is None:
-        return
-    suffix = f" (dir={args.cache_dir})" if args.cache_dir is not None else ""
-    print(f"{stats.line()}{suffix}", file=sys.stderr)
+    """Print the hit/miss summary to stderr (CI greps for misses=0)."""
+    print(f"{stats.line()} (dir={args.cache_dir})", file=sys.stderr)
 
 
-def _report_vector(args: argparse.Namespace, stats) -> None:
+def _report_vector(stats) -> None:
     """Print the vector engine's native/cloned/fallback tally to stderr.
 
     ``stats`` is ``None`` when no cube cell ran through the vector
-    engine — then nothing is printed, mirroring :func:`_report_cache`'s
-    silence on uncached commands.  Fallback rows are broken down by reason so a
-    grid that silently degraded to per-run simulation is visible.
+    engine — then nothing is printed.  Fallback rows are broken down by
+    reason so a grid that silently degraded to per-run simulation is
+    visible.
     """
-    if stats is None:
-        return
-    print(stats.line(), file=sys.stderr)
+    if stats is not None:
+        print(stats.line(), file=sys.stderr)
 
 
-def _sim_engine(args: argparse.Namespace) -> str:
-    """Engine mode for the direct single-run commands (fig1, run).
+@contextmanager
+def _runners(args: argparse.Namespace, *windows: str):
+    """One :class:`ExperimentRunner` per window, built from the run
+    options and closed (cache flushed, pool shut down) on exit."""
+    with ExitStack() as stack:
+        yield {
+            window: stack.enter_context(ExperimentRunner(
+                window, args.experiments, args.seed, workers=args.workers,
+                engine_mode=args.engine, audit=args.audit,
+                audit_out=args.audit_out, cache_dir=args.cache_dir,
+            ))
+            for window in windows
+        }
 
-    ``--engine vector`` batches *grids*; a lone simulator run has no
-    start axis to batch, so it degrades to the bit-identical fast path.
-    """
-    return "fast" if args.engine == "vector" else args.engine
+
+def _report(args: argparse.Namespace, runners) -> int:
+    """Report a command's runners: one merged ``run-cache:`` line (with
+    ``--cache-dir``) and ``vector-engine:`` line (when a batch ran) on
+    stderr, then the merged audit summary (with ``--audit``) on stdout.
+    Returns the exit status (1 = audit violations)."""
+    from repro.audit.auditor import AuditReport
+    from repro.core.vector_engine import BatchStats
+    from repro.experiments.cache import CacheStats
+
+    cache, vector, audit = CacheStats(), BatchStats(), AuditReport()
+    for runner in runners:
+        for total, part in ((cache, runner.drain_cache_stats()),
+                            (vector, runner.drain_vector_stats())):
+            if part is not None:
+                total.merge(part)
+        if runner.audit:
+            audit.merge(runner.drain_audit())
+    if args.cache_dir is not None:
+        _report_cache(args, cache)
+    _report_vector(vector if vector.total else None)
+    return _report_audit(audit) if _audit_enabled(args) else 0
+
+
+def _single_run(args: argparse.Namespace, config, policy, num_zones: int,
+                render, controller=None, **recording) -> int:
+    """fig1 and run: simulate one experiment of ``--window`` starting
+    ``--start-hours`` in, print ``render(result, oracle, start)``, then
+    report the run cache and the audit.  Returns the exit status."""
+    trace, eval_start = evaluation_window(args.window, args.seed)
+    oracle = PriceOracle(trace)
+    auditor = cache = None
+    if _audit_enabled(args):
+        from repro.audit import JsonlSink, RunAuditor
+
+        auditor = RunAuditor(
+            sink=JsonlSink(args.audit_out) if args.audit_out else None
+        )
+    if args.cache_dir is not None:
+        from repro.experiments.cache import RunCache
+
+        cache = RunCache(args.cache_dir)
+    sim = SpotSimulator(oracle=oracle, queue_model=QueueDelayModel(),
+                        rng=np.random.default_rng(args.seed),
+                        engine_mode=args.engine, auditor=auditor,
+                        run_cache=cache, **recording)
+    start = eval_start + args.start_hours * 3600.0
+    result = sim.run(config, policy, args.bid, trace.zone_names[:num_zones],
+                     start, controller=controller)
+    print(render(result, oracle, start))
+    status = 0
+    if cache is not None:
+        cache.flush()
+        _report_cache(args, cache.stats)
+    if auditor is not None:
+        status = _report_audit(auditor.drain())
+        auditor.close()
+    return status
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -181,42 +264,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=float, default=0.5)
     p.add_argument("--start-hours", type=float, default=96.0)
     p.add_argument("--width", type=int, default=96)
-    _add_common(p)
+    _add_options(p, _SINGLE_RUN_OPTIONS, engine=_SINGLE_RUN_ENGINE)
 
     p = sub.add_parser("fig2", help="Figure 2: zone/combined availability")
     p.add_argument("--bid", type=float, default=0.81)
-    _add_common(p)
+    _add_options(p, ("seed",))
 
     p = sub.add_parser("var", help="Section 3.1: VAR dependence analysis")
-    _add_common(p)
+    _add_options(p, ("seed",))
 
-    p = sub.add_parser("queuing", help="Section 5: queuing-delay statistics")
-    _add_common(p)
+    sub.add_parser("queuing", help="Section 5: queuing-delay statistics")
 
-    p = sub.add_parser("fig4", help="Figure 4: policies vs best-case redundancy")
-    p.add_argument("--window", choices=("low", "high"), default="low")
-    p.add_argument("--slack", type=float, default=0.15)
-    p.add_argument("--tc", type=float, default=300.0)
-    _add_common(p)
-
-    for name, help_text in (("table2", "Table 2 (t_c=300s)"), ("table3", "Table 3 (t_c=900s)")):
+    for name, help_text in (
+        ("fig4", "Figure 4: policies vs best-case redundancy"),
+        ("fig5", "Figure 5: Adaptive vs other policies"),
+        ("fig6", "Figure 6: Large-bid vs Adaptive"),
+    ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p)
+        p.add_argument("--window", choices=("low", "high"), default="low")
+        p.add_argument("--slack", type=float, default=0.15)
+        p.add_argument("--tc", type=float, default=300.0)
+        _add_options(p, _GRID_OPTIONS)
 
-    p = sub.add_parser("fig5", help="Figure 5: Adaptive vs other policies")
-    p.add_argument("--window", choices=("low", "high"), default="low")
-    p.add_argument("--slack", type=float, default=0.15)
-    p.add_argument("--tc", type=float, default=300.0)
-    _add_common(p)
-
-    p = sub.add_parser("fig6", help="Figure 6: Large-bid vs Adaptive")
-    p.add_argument("--window", choices=("low", "high"), default="low")
-    p.add_argument("--slack", type=float, default=0.15)
-    p.add_argument("--tc", type=float, default=300.0)
-    _add_common(p)
-
-    p = sub.add_parser("headline", help="abstract's quantitative claims")
-    _add_common(p)
+    for name, help_text in (("table2", "Table 2 (t_c=300s)"),
+                            ("table3", "Table 3 (t_c=900s)"),
+                            ("headline", "abstract's quantitative claims")):
+        p = sub.add_parser(name, help=help_text)
+        _add_options(p, _GRID_OPTIONS)
 
     p = sub.add_parser("run", help="simulate one experiment")
     p.add_argument("--policy", choices=tuple(POLICY_FACTORIES) + ("adaptive",),
@@ -228,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tc", type=float, default=300.0)
     p.add_argument("--start-hours", type=float, default=0.0,
                    help="offset into the window")
-    _add_common(p)
+    _add_options(p, _SINGLE_RUN_OPTIONS, engine=_SINGLE_RUN_ENGINE)
 
     p = sub.add_parser("sweep", help="parameter sweep (ablations)")
     p.add_argument("--axis", choices=("slack", "tc", "bid", "zones"),
@@ -237,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--policy", choices=("periodic", "markov-daly"),
                    default="markov-daly")
     p.add_argument("--redundant", action="store_true")
-    _add_common(p)
+    _add_options(p, _GRID_OPTIONS)
 
     p = sub.add_parser("export-trace", help="dump the canonical archive to CSV")
     p.add_argument("path")
-    _add_common(p)
+    _add_options(p, ("seed",))
 
     p = sub.add_parser("cache", help="inspect or clear a --cache-dir directory")
     p.add_argument("dir", help="run-cache directory")
@@ -278,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated bid levels (default: 0.27,0.81,2.40)")
     p.add_argument("--zone-counts", default=None,
                    help="comma-separated redundancy degrees (default: 1,3)")
-    _add_common(p)
+    _add_options(p, _SURFACE_OPTIONS)
 
     p = sub.add_parser(
         "advise",
@@ -295,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tc", type=float, default=300.0)
     p.add_argument("--budget", type=float, default=None,
                    help="maximum acceptable expected cost in $")
-    _add_common(p)
+    _add_options(p, _SURFACE_OPTIONS)
 
     p = sub.add_parser(
         "serve",
@@ -306,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=_positive_int, default=64,
                    help="queries gathered per concurrent batch (identical "
                         "queries within a batch coalesce)")
-    _add_common(p)
+    _add_options(p, _SURFACE_OPTIONS)
 
     return parser
 
@@ -421,7 +495,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
             f"family of {len(surfaces)} surfaces built in one cube pass "
             f"({surfaces[0].build_seconds:.1f}s)"
         )
-        _report_vector(args, builder.drain_vector_stats())
+        _report_vector(builder.drain_vector_stats())
         return 0
     for slack in args.slack if args.slack else [0.5]:
         config = ExperimentConfig(
@@ -442,7 +516,7 @@ def _cmd_surface(args: argparse.Namespace) -> int:
         )
         # Same stderr contract as the figure commands: operators see
         # immediately when a build silently fell back to scalar runs.
-        _report_vector(args, builder.drain_vector_stats())
+        _report_vector(builder.drain_vector_stats())
     return 0
 
 
@@ -467,7 +541,7 @@ def _cmd_advise(args: argparse.Namespace) -> int:
               "showing the cheapest guaranteed plan instead")
     # A cold build-through ran engine batches: report them with the
     # same stderr line `surface build` prints (silent on warm paths).
-    _report_vector(args, service.builder.drain_vector_stats())
+    _report_vector(service.builder.drain_vector_stats())
     print(service.stats.line(), file=sys.stderr)
     return 0
 
@@ -481,13 +555,65 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     answered = asyncio.run(
         serve_lines(service, sys.stdin, sys.stdout, batch_size=args.batch)
     )
-    _report_vector(args, service.builder.drain_vector_stats())
+    _report_vector(service.builder.drain_vector_stats())
     print(service.stats.line(), file=sys.stderr)
     return 0 if answered == service.stats.queries else 1
 
 
-def _reference_lines() -> dict:
-    return figures.fig4_reference_lines()
+#: fig4/fig5/fig6: (title, panel function) — one window, one runner.
+_PANELS = {
+    "fig4": ("Figure 4", figures.fig4_quadrant),
+    "fig5": ("Figure 5", figures.fig5_quadrant),
+    "fig6": ("Figure 6", figures.fig6_panel),
+}
+
+
+def _sweep_points(args: argparse.Namespace, runner: ExperimentRunner) -> list:
+    from repro.experiments import sweeps
+
+    if args.axis == "slack":
+        return sweeps.sweep_slack(
+            runner, (0.10, 0.15, 0.25, 0.50, 0.75, 1.00),
+            policy_label=args.policy, redundant=args.redundant,
+        )
+    if args.axis == "tc":
+        return sweeps.sweep_ckpt_cost(
+            runner, (60.0, 300.0, 600.0, 900.0, 1800.0),
+            policy_label=args.policy, redundant=args.redundant,
+        )
+    if args.axis == "bid":
+        from repro.market.constants import bid_grid
+
+        return sweeps.sweep_bid(
+            runner, bid_grid()[::2],
+            policy_label=args.policy, redundant=args.redundant,
+        )
+    return sweeps.sweep_zones(runner, (1, 2, 3), policy_label=args.policy)
+
+
+def _run_summary(args: argparse.Namespace, config, result, start: float) -> str:
+    """The ``run`` command's summary and per-event timeline."""
+    shown = (
+        f"adaptive (final: {result.policy_name})"
+        if args.policy == "adaptive"
+        else result.policy_name
+    )
+    lines = [
+        f"policy={shown} bid=${result.bid:.2f} zones={len(result.zones)}",
+        f"total cost ${result.total_cost:.2f} "
+        f"(spot ${result.spot_cost:.2f} + on-demand ${result.ondemand_cost:.2f}); "
+        f"on-demand reference ${on_demand_cost(config):.2f}",
+        f"completed on {result.completed_on}; met deadline: {result.met_deadline}",
+        f"checkpoints={result.num_checkpoints} restarts={result.num_restarts} "
+        f"terminations={result.num_provider_terminations}",
+    ]
+    for event in result.events:
+        offset_h = (event.time - start) / 3600.0
+        zone = event.zone or "-"
+        lines.append(
+            f"  {offset_h:7.2f}h  {event.kind:<22s} {zone:<12s} {event.detail}"
+        )
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -499,26 +625,14 @@ def main(argv: list[str] | None = None) -> int:
         from repro.core.periodic import PeriodicPolicy as _Periodic
         from repro.experiments.timeline import render_timeline
 
-        trace, eval_start = evaluation_window(args.window, args.seed)
-        oracle = PriceOracle(trace)
-        auditor = _make_auditor(args)
-        cache = _make_cache(args)
-        sim = SpotSimulator(oracle=oracle, queue_model=QueueDelayModel(),
-                            rng=np.random.default_rng(args.seed),
-                            record_timeline=True, engine_mode=_sim_engine(args),
-                            auditor=auditor, run_cache=cache)
-        config = paper_experiment(slack_fraction=args.slack)
         policy = _Periodic() if args.policy == "periodic" else RisingEdgePolicy()
-        result = sim.run(config, policy, args.bid, trace.zone_names[:1],
-                         eval_start + args.start_hours * 3600.0)
-        print(render_timeline(result, oracle, width=args.width,
-                              title=f"Figure 1-style timeline ({policy.name})"))
-        if cache is not None:
-            cache.flush()
-            _report_cache(args, cache.stats)
-        if auditor is not None:
-            status = _report_audit(auditor.drain())
-            auditor.close()
+        title = f"Figure 1-style timeline ({policy.name})"
+        status = _single_run(
+            args, paper_experiment(slack_fraction=args.slack), policy, 1,
+            lambda result, oracle, start: render_timeline(
+                result, oracle, width=args.width, title=title),
+            record_timeline=True,
+        )
     elif args.command == "fig2":
         data = figures.fig2_availability(bid=args.bid, seed=args.seed)
         print(reporting.render_availability("Figure 2 — availability", data))
@@ -528,134 +642,49 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command == "queuing":
         stats = figures.sec5_queuing_stats()
         print(reporting.render_queuing("Section 5 — spot queuing delay", stats))
-    elif args.command == "fig4":
-        with ExperimentRunner(args.window, args.experiments, args.seed,
-                              workers=args.workers, engine_mode=args.engine,
-                              audit=args.audit, audit_out=args.audit_out,
-                              cache_dir=args.cache_dir) as runner:
-            cells = figures.fig4_quadrant(runner, args.slack, args.tc)
-            _report_cache(args, runner.drain_cache_stats())
-            _report_vector(args, runner.drain_vector_stats())
-            if runner.audit:
-                status = _report_audit(runner.drain_audit())
-        title = f"Figure 4 — window={args.window} slack={args.slack:.0%} t_c={args.tc:.0f}s"
-        print(reporting.render_cells(title, cells, _reference_lines()))
-    elif args.command in ("table2", "table3"):
-        fn = figures.table2 if args.command == "table2" else figures.table3
-        rows = fn(num_experiments=args.experiments, seed=args.seed,
-                  workers=args.workers, engine_mode=args.engine,
-                  cache_dir=args.cache_dir)
-        print(reporting.render_optimal_table(args.command.capitalize(), rows))
-    elif args.command == "fig5":
-        with ExperimentRunner(args.window, args.experiments, args.seed,
-                              workers=args.workers, engine_mode=args.engine,
-                              audit=args.audit, audit_out=args.audit_out,
-                              cache_dir=args.cache_dir) as runner:
-            cells = figures.fig5_quadrant(runner, args.slack, args.tc)
-            _report_cache(args, runner.drain_cache_stats())
-            _report_vector(args, runner.drain_vector_stats())
-            if runner.audit:
-                status = _report_audit(runner.drain_audit())
-        title = f"Figure 5 — window={args.window} slack={args.slack:.0%} t_c={args.tc:.0f}s"
-        print(reporting.render_cells(title, cells, _reference_lines()))
-    elif args.command == "fig6":
-        with ExperimentRunner(args.window, args.experiments, args.seed,
-                              workers=args.workers, engine_mode=args.engine,
-                              audit=args.audit, audit_out=args.audit_out,
-                              cache_dir=args.cache_dir) as runner:
-            cells = figures.fig6_panel(runner, args.slack, args.tc)
-            _report_cache(args, runner.drain_cache_stats())
-            _report_vector(args, runner.drain_vector_stats())
-            if runner.audit:
-                status = _report_audit(runner.drain_audit())
-        title = f"Figure 6 — window={args.window} slack={args.slack:.0%} t_c={args.tc:.0f}s"
-        print(reporting.render_cells(title, cells, _reference_lines()))
-    elif args.command == "headline":
-        claims = figures.headline_claims(num_experiments=args.experiments,
-                                         seed=args.seed, workers=args.workers,
-                                         engine_mode=args.engine,
-                                         cache_dir=args.cache_dir)
-        print(reporting.render_headline("Headline claims", claims))
+    elif args.command in _PANELS:
+        name, panel = _PANELS[args.command]
+        with _runners(args, args.window) as runners:
+            cells = panel(runners[args.window], args.slack, args.tc)
+            status = _report(args, runners.values())
+        title = f"{name} — window={args.window} slack={args.slack:.0%} t_c={args.tc:.0f}s"
+        print(reporting.render_cells(title, cells, figures.fig4_reference_lines()))
+    elif args.command in ("table2", "table3", "headline"):
+        with _runners(args, "low", "high") as runners:
+            if args.command == "headline":
+                text = reporting.render_headline(
+                    "Headline claims", figures.headline_claims(runners)
+                )
+            else:
+                fn = figures.table2 if args.command == "table2" else figures.table3
+                text = reporting.render_optimal_table(
+                    args.command.capitalize(), fn(runners)
+                )
+            status = _report(args, runners.values())
+        print(text)
     elif args.command == "run":
-        trace, eval_start = evaluation_window(args.window, args.seed)
-        oracle = PriceOracle(trace)
-        auditor = _make_auditor(args)
-        cache = _make_cache(args)
-        sim = SpotSimulator(oracle=oracle, queue_model=QueueDelayModel(),
-                            rng=np.random.default_rng(args.seed),
-                            record_events=True, engine_mode=_sim_engine(args),
-                            auditor=auditor, run_cache=cache)
         config = paper_experiment(slack_fraction=args.slack, ckpt_cost_s=args.tc)
-        start = eval_start + args.start_hours * 3600.0
         if args.policy == "adaptive":
+            policy, num_zones = POLICY_FACTORIES["periodic"](), 1
             controller = AdaptiveController()
-            result = sim.run(config, POLICY_FACTORIES["periodic"](),
-                             bid=args.bid, zones=trace.zone_names[:1],
-                             start_time=start, controller=controller)
         else:
-            policy = POLICY_FACTORIES[args.policy]()
-            zones = trace.zone_names[: args.zones]
-            result = sim.run(config, policy, args.bid, zones, start)
-        shown = (
-            f"adaptive (final: {result.policy_name})"
-            if args.policy == "adaptive"
-            else result.policy_name
+            policy, num_zones = POLICY_FACTORIES[args.policy](), args.zones
+            controller = None
+        status = _single_run(
+            args, config, policy, num_zones,
+            lambda result, oracle, start: _run_summary(args, config, result, start),
+            controller=controller, record_events=True,
         )
-        print(f"policy={shown} bid=${result.bid:.2f} zones={len(result.zones)}")
-        print(f"total cost ${result.total_cost:.2f} "
-              f"(spot ${result.spot_cost:.2f} + on-demand ${result.ondemand_cost:.2f}); "
-              f"on-demand reference ${on_demand_cost(config):.2f}")
-        print(f"completed on {result.completed_on}; met deadline: {result.met_deadline}")
-        print(f"checkpoints={result.num_checkpoints} restarts={result.num_restarts} "
-              f"terminations={result.num_provider_terminations}")
-        for event in result.events:
-            offset_h = (event.time - start) / 3600.0
-            zone = event.zone or "-"
-            print(f"  {offset_h:7.2f}h  {event.kind:<22s} {zone:<12s} {event.detail}")
-        if cache is not None:
-            cache.flush()
-            _report_cache(args, cache.stats)
-        if auditor is not None:
-            status = _report_audit(auditor.drain())
-            auditor.close()
     elif args.command == "sweep":
-        from repro.experiments import sweeps
         from repro.experiments.reporting import format_table
 
-        runner = ExperimentRunner(args.window, args.experiments, args.seed,
-                                  workers=args.workers,
-                                  engine_mode=args.engine,
-                                  audit=args.audit, audit_out=args.audit_out,
-                                  cache_dir=args.cache_dir)
-        if args.axis == "slack":
-            points = sweeps.sweep_slack(
-                runner, (0.10, 0.15, 0.25, 0.50, 0.75, 1.00),
-                policy_label=args.policy, redundant=args.redundant,
-            )
-        elif args.axis == "tc":
-            points = sweeps.sweep_ckpt_cost(
-                runner, (60.0, 300.0, 600.0, 900.0, 1800.0),
-                policy_label=args.policy, redundant=args.redundant,
-            )
-        elif args.axis == "bid":
-            from repro.market.constants import bid_grid
-
-            points = sweeps.sweep_bid(
-                runner, bid_grid()[::2],
-                policy_label=args.policy, redundant=args.redundant,
-            )
-        else:
-            points = sweeps.sweep_zones(runner, (1, 2, 3),
-                                        policy_label=args.policy)
-        print(format_table(
-            [args.axis, "median $", "q3 $", "max $", "violations"],
-            [p.row() for p in points],
-        ))
-        _report_cache(args, runner.drain_cache_stats())
-        _report_vector(args, runner.drain_vector_stats())
-        if runner.audit:
-            status = _report_audit(runner.drain_audit())
-        runner.close()
+        with _runners(args, args.window) as runners:
+            points = _sweep_points(args, runners[args.window])
+            print(format_table(
+                [args.axis, "median $", "q3 $", "max $", "violations"],
+                [p.row() for p in points],
+            ))
+            status = _report(args, runners.values())
     elif args.command == "export-trace":
         rows = write_trace(canonical_dataset(args.seed), args.path)
         print(f"wrote {rows} price-change rows to {args.path}")

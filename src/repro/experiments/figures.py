@@ -22,7 +22,7 @@ HL        headline claims (7x on-demand, 44%, bounded worst case)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -144,6 +144,23 @@ def _cell(label: str, bid: float, records: Sequence[RunRecord]) -> PolicyCell:
     )
 
 
+def _single_zone(
+    runner: ExperimentRunner,
+    policies: Sequence[str],
+    config,
+    bids: Sequence[float],
+) -> dict[str, dict[float, list[RunRecord]]]:
+    """``{policy: {bid: records}}`` of merged single-zone cells, from one
+    fused (policy x bid x start) cube; per-bid records match
+    ``run_single_zone`` exactly."""
+    return {
+        label: per_shape[0]
+        for label, per_shape in zip(
+            policies, runner.run_cube(policies, [config], bids)
+        )
+    }
+
+
 def fig4_quadrant(
     runner: ExperimentRunner,
     slack_fraction: float,
@@ -164,12 +181,7 @@ def fig4_quadrant(
     path so the auditor observes every run.
     """
     config = paper_experiment(slack_fraction=slack_fraction, ckpt_cost_s=ckpt_cost_s)
-    per_policy = {
-        label: per_shape[0]
-        for label, per_shape in zip(
-            policies, runner.run_cube(policies, [config], bids)
-        )
-    }
+    per_policy = _single_zone(runner, policies, config, bids)
     best = runner.run_best_redundant(config, bids)
     cells: list[PolicyCell] = []
     for bid in bids:
@@ -192,49 +204,30 @@ def fig4_reference_lines(config=None) -> dict:
 # ----------------------------------------------------------------------
 
 def optimal_policy_table(
+    runners: Mapping[str, ExperimentRunner],
     ckpt_cost_s: float,
-    num_experiments: int = 40,
-    seed: int = DEFAULT_SEED,
     bids: Sequence[float] = FIGURE_BIDS,
-    include_redundant: bool = True,
-    workers: int = 1,
-    engine_mode: str = "fast",
-    cache_dir: str | None = None,
 ) -> list[dict]:
     """Tables 2/3: the least-median-cost (policy, bid) per quadrant.
 
-    Single-zone candidates are Periodic and Markov-Daly (the policies
-    the paper retains after Section 6); the redundancy candidate is
-    the best-case redundancy box.  Returns one row per quadrant with
-    the winner and the full per-candidate medians for inspection.
-    ``workers > 1`` fans each cell's experiments over a process pool;
-    ``cache_dir`` memoizes every engine run on disk so a warm rerun
-    assembles the table without simulating.
+    ``runners`` maps each volatility window to its runner; one runner
+    serves both slack quadrants of its window.  Single-zone candidates
+    are Periodic and Markov-Daly (the policies the paper retains after
+    Section 6); the redundancy candidate is the best-case redundancy
+    box.  Returns one row per quadrant with the winner and the full
+    per-candidate medians for inspection.
     """
     rows = []
     for window, slack in QUADRANTS:
-        with ExperimentRunner(window, num_experiments=num_experiments,
-                              seed=seed, workers=workers,
-                              engine_mode=engine_mode,
-                              cache_dir=cache_dir) as runner:
-            config = paper_experiment(slack_fraction=slack, ckpt_cost_s=ckpt_cost_s)
-            # one fused (policy x bid x start) cube over the candidate
-            # policies; per-bid records match run_single_zone exactly
-            single = {
-                label: per_shape[0]
-                for label, per_shape in zip(
-                    RETAINED_POLICIES,
-                    runner.run_cube(RETAINED_POLICIES, [config], bids),
-                )
-            }
-            best = (runner.run_best_redundant(config, bids)
-                    if include_redundant else {})
-            candidates: dict[str, BoxplotStats] = {}
-            for bid in bids:
-                for label in RETAINED_POLICIES:
-                    candidates[f"{label}@{bid:.2f}"] = box(single[label][bid])
-                if include_redundant:
-                    candidates[f"redundant@{bid:.2f}"] = box(best[bid])
+        runner = runners[window]
+        config = paper_experiment(slack_fraction=slack, ckpt_cost_s=ckpt_cost_s)
+        single = _single_zone(runner, RETAINED_POLICIES, config, bids)
+        best = runner.run_best_redundant(config, bids)
+        candidates: dict[str, BoxplotStats] = {}
+        for bid in bids:
+            for label in RETAINED_POLICIES:
+                candidates[f"{label}@{bid:.2f}"] = box(single[label][bid])
+            candidates[f"redundant@{bid:.2f}"] = box(best[bid])
         winner, stats = best_policy_by_median(candidates)
         rows.append(
             {
@@ -249,24 +242,14 @@ def optimal_policy_table(
     return rows
 
 
-def table2(
-    num_experiments: int = 40, seed: int = DEFAULT_SEED, workers: int = 1,
-    engine_mode: str = "fast", cache_dir: str | None = None,
-) -> list[dict]:
+def table2(runners: Mapping[str, ExperimentRunner]) -> list[dict]:
     """Table 2: optimal policies at t_c = 300 s."""
-    return optimal_policy_table(CKPT_COST_LOW_S, num_experiments, seed,
-                                workers=workers, engine_mode=engine_mode,
-                                cache_dir=cache_dir)
+    return optimal_policy_table(runners, CKPT_COST_LOW_S)
 
 
-def table3(
-    num_experiments: int = 40, seed: int = DEFAULT_SEED, workers: int = 1,
-    engine_mode: str = "fast", cache_dir: str | None = None,
-) -> list[dict]:
+def table3(runners: Mapping[str, ExperimentRunner]) -> list[dict]:
     """Table 3: optimal policies at t_c = 900 s."""
-    return optimal_policy_table(CKPT_COST_HIGH_S, num_experiments, seed,
-                                workers=workers, engine_mode=engine_mode,
-                                cache_dir=cache_dir)
+    return optimal_policy_table(runners, CKPT_COST_HIGH_S)
 
 
 # ----------------------------------------------------------------------
@@ -286,30 +269,13 @@ def fig5_quadrant(
     chooses its own bids.
     """
     config = paper_experiment(slack_fraction=slack_fraction, ckpt_cost_s=ckpt_cost_s)
-    singles = runner.run_cube(RETAINED_POLICIES, [config], [bid])
+    singles = _single_zone(runner, RETAINED_POLICIES, config, [bid])
     return [
-        *(_cell(label, bid, per_shape[0][bid])
-          for label, per_shape in zip(RETAINED_POLICIES, singles)),
+        *(_cell(label, bid, singles[label][bid]) for label in RETAINED_POLICIES),
         _cell("redundant-best", bid,
               runner.run_best_redundant(config, [bid])[bid]),
         _cell("adaptive", float("nan"), runner.run_adaptive(config)),
     ]
-
-
-def fig5_all(
-    num_experiments: int = 20, seed: int = DEFAULT_SEED, workers: int = 1,
-    engine_mode: str = "fast", cache_dir: str | None = None,
-) -> dict[tuple[str, float, float], list[PolicyCell]]:
-    """All eight plots of Figure 5 keyed by (window, slack, t_c)."""
-    out: dict[tuple[str, float, float], list[PolicyCell]] = {}
-    for window, slack in QUADRANTS:
-        with ExperimentRunner(window, num_experiments=num_experiments,
-                              seed=seed, workers=workers,
-                              engine_mode=engine_mode,
-                              cache_dir=cache_dir) as runner:
-            for tc in (CKPT_COST_LOW_S, CKPT_COST_HIGH_S):
-                out[(window, slack, tc)] = fig5_quadrant(runner, slack, tc)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -346,11 +312,10 @@ def fig6_panel(
 # HL — headline claims
 # ----------------------------------------------------------------------
 
-def headline_claims(
-    num_experiments: int = 20, seed: int = DEFAULT_SEED, workers: int = 1,
-    engine_mode: str = "fast", cache_dir: str | None = None,
-) -> dict:
+def headline_claims(runners: Mapping[str, ExperimentRunner]) -> dict:
     """The abstract's three quantitative claims, measured.
+
+    ``runners`` maps each volatility window to its runner.
 
     1. Adaptive up to ~7x cheaper than on-demand (calm markets).
     2. Adaptive up to ~44% cheaper than the best-case non-redundant
@@ -363,32 +328,22 @@ def headline_claims(
     best_single_improvement = 0.0
     worst_ratio = 0.0
     for window, slack in QUADRANTS:
-        with ExperimentRunner(window, num_experiments=num_experiments,
-                              seed=seed, workers=workers,
-                              engine_mode=engine_mode,
-                              cache_dir=cache_dir) as runner:
-            for tc in (CKPT_COST_LOW_S, CKPT_COST_HIGH_S):
-                config = paper_experiment(slack_fraction=slack, ckpt_cost_s=tc)
-                adaptive = box(runner.run_adaptive(config))
-                best_ratio = max(best_ratio, od / adaptive.median)
-                worst_ratio = max(worst_ratio, adaptive.maximum / od)
-                per_label = {
-                    label: per_shape[0]
-                    for label, per_shape in zip(
-                        RETAINED_POLICIES,
-                        runner.run_cube(
-                            RETAINED_POLICIES, [config], FIGURE_BIDS
-                        ),
-                    )
-                }
-                singles = [
-                    box(per_label[label][bid]).median
-                    for label in RETAINED_POLICIES
-                    for bid in FIGURE_BIDS
-                ]
-                best_single = min(singles)
-                improvement = (best_single - adaptive.median) / best_single
-                best_single_improvement = max(best_single_improvement, improvement)
+        runner = runners[window]
+        for tc in (CKPT_COST_LOW_S, CKPT_COST_HIGH_S):
+            config = paper_experiment(slack_fraction=slack, ckpt_cost_s=tc)
+            adaptive = box(runner.run_adaptive(config))
+            best_ratio = max(best_ratio, od / adaptive.median)
+            worst_ratio = max(worst_ratio, adaptive.maximum / od)
+            per_label = _single_zone(runner, RETAINED_POLICIES, config,
+                                     FIGURE_BIDS)
+            singles = [
+                box(per_label[label][bid]).median
+                for label in RETAINED_POLICIES
+                for bid in FIGURE_BIDS
+            ]
+            best_single = min(singles)
+            improvement = (best_single - adaptive.median) / best_single
+            best_single_improvement = max(best_single_improvement, improvement)
     return {
         "on_demand_cost": od,
         "max_on_demand_over_adaptive": best_ratio,

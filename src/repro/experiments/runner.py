@@ -165,7 +165,6 @@ class ExperimentRunner:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.audit_out is not None:
             self.audit = True
-        self._explicit_trace = self.trace is not None
         if self.trace is None:
             self.trace, self.eval_start = evaluation_window(self.window, self.seed)
         elif self.eval_start is None:
@@ -259,29 +258,6 @@ class ExperimentRunner:
         return stats if stats.total else None
 
     # -- parallel execution ------------------------------------------------
-
-    def with_workers(self, workers: int) -> "ExperimentRunner":
-        """A runner over the same window, seed, trace and run cache with
-        a different degree of parallelism (the window trace is cached,
-        so this is cheap).  An explicit trace with ``workers > 1``
-        raises ``ValueError``, as the constructor does."""
-        if workers == self.workers:
-            return self
-        explicit = self._explicit_trace
-        return ExperimentRunner(
-            self.window,
-            num_experiments=self.num_experiments,
-            seed=self.seed,
-            queue_model=self.queue_model,
-            workers=workers,
-            engine_mode=self.engine_mode,
-            audit=self.audit,
-            audit_out=self.audit_out,
-            trace=self.trace if explicit else None,
-            eval_start=self.eval_start if explicit else None,
-            cache_dir=self.cache_dir,
-            cache=self.cache,
-        )
 
     @property
     def executor(self):

@@ -4,12 +4,8 @@ The paper fixes slack ∈ {15%, 50%} and t_c ∈ {300, 900}; these helpers
 sweep any axis — slack, checkpoint cost, bid, redundancy degree — and
 return per-point boxplot statistics, powering the ablation benchmarks
 and letting users map their own experiment onto the cost landscape.
-
-Every sweep accepts ``workers``: when given, the runner's grid cells
-are fanned out over that many worker processes (see
-:mod:`repro.experiments.parallel`) with results identical to the
-serial path; when ``None`` the runner's own ``workers`` setting
-applies.
+Each sweep runs on the runner it is given, so the runner's own
+``workers`` and engine settings apply.
 """
 
 from __future__ import annotations
@@ -44,15 +40,8 @@ def _point(value, records: Sequence[RunRecord]) -> SweepPoint:
     )
 
 
-def _with_workers(
-    runner: ExperimentRunner, workers: int | None
-) -> ExperimentRunner:
-    return runner if workers is None else runner.with_workers(workers)
-
-
 def _shape_axis(
     runner: ExperimentRunner,
-    workers: int | None,
     values: Sequence,
     configs: Sequence,
     policy_label: str,
@@ -62,7 +51,6 @@ def _shape_axis(
     """One point per job shape, the whole axis one shape-ladder cube
     (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`):
     per-point records identical to one cell per shape."""
-    runner = _with_workers(runner, workers)
     (per_shape,) = runner.run_cube(
         [policy_label], configs, [bid], redundant=redundant
     )
@@ -79,7 +67,6 @@ def sweep_slack(
     bid: float = 0.81,
     ckpt_cost_s: float = 300.0,
     redundant: bool = False,
-    workers: int | None = None,
 ) -> list[SweepPoint]:
     """Cost vs. slack fraction — how much headroom buys how much.
 
@@ -89,7 +76,7 @@ def sweep_slack(
     """
     configs = [paper_experiment(slack_fraction=f, ckpt_cost_s=ckpt_cost_s)
                for f in fractions]
-    return _shape_axis(runner, workers, fractions, configs, policy_label,
+    return _shape_axis(runner, fractions, configs, policy_label,
                        bid, redundant)
 
 
@@ -100,12 +87,11 @@ def sweep_ckpt_cost(
     bid: float = 0.81,
     slack_fraction: float = 0.15,
     redundant: bool = False,
-    workers: int | None = None,
 ) -> list[SweepPoint]:
     """Cost vs. checkpoint cost t_c (the Tables 2→3 axis, densified)."""
     configs = [paper_experiment(slack_fraction=slack_fraction, ckpt_cost_s=tc)
                for tc in costs_s]
-    return _shape_axis(runner, workers, costs_s, configs, policy_label,
+    return _shape_axis(runner, costs_s, configs, policy_label,
                        bid, redundant)
 
 
@@ -116,7 +102,6 @@ def sweep_bid(
     slack_fraction: float = 0.5,
     ckpt_cost_s: float = 300.0,
     redundant: bool = False,
-    workers: int | None = None,
 ) -> list[SweepPoint]:
     """Cost vs. bid — the sweet-spot curve behind Section 6's summary
     ("higher bid prices (after a sweet-spot) generally increase the
@@ -128,7 +113,6 @@ def sweep_bid(
     class per start instead of once per bid, with per-point records
     identical to per-bid runs.
     """
-    runner = _with_workers(runner, workers)
     config = paper_experiment(slack_fraction=slack_fraction,
                               ckpt_cost_s=ckpt_cost_s)
     ((axis,),) = runner.run_cube(
@@ -144,10 +128,8 @@ def sweep_zones(
     bid: float = 0.81,
     slack_fraction: float = 0.15,
     ckpt_cost_s: float = 300.0,
-    workers: int | None = None,
 ) -> list[SweepPoint]:
     """Cost vs. redundancy degree N (Section 6's diminishing returns)."""
-    runner = _with_workers(runner, workers)
     config = paper_experiment(slack_fraction=slack_fraction,
                               ckpt_cost_s=ckpt_cost_s)
     points = []

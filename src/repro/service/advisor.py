@@ -177,6 +177,23 @@ def _advice_from_cell(
     )
 
 
+def _recommend(
+    surface: PolicySurface, source: str, budget: float | None
+) -> Advice:
+    """The cheapest deadline-guaranteed cell within ``budget``; else the
+    cheapest guaranteed cell, flagged ``within_budget=False``.  Raises
+    ``LookupError`` when the surface has no guaranteed cell at all."""
+    best = surface.best(budget)
+    if best is not None:
+        return _advice_from_cell(best, surface, source, budget)
+    best = surface.best()
+    if best is None:
+        raise LookupError(
+            "surface has no deadline-guaranteed cell to recommend"
+        )
+    return _advice_from_cell(best, surface, source, budget, within_budget=False)
+
+
 class AdvisorService:
     """Serves :class:`JobSpec` queries from a surface store.
 
@@ -394,17 +411,7 @@ class AdvisorService:
             surface = await self._load(spec)
             if surface is None:  # resolve again without it
                 return await self._compute(job)
-            best = surface.best(job.budget)
-            if best is not None:
-                return _advice_from_cell(best, surface, "surface", job.budget)
-            best = surface.best()
-            if best is not None:
-                return _advice_from_cell(
-                    best, surface, "surface", job.budget, within_budget=False
-                )
-            raise LookupError(
-                "surface has no deadline-guaranteed cell to recommend"
-            )
+            return _recommend(surface, "surface", job.budget)
         brackets = self._bracketing_specs(job)
         if brackets is not None:
             lo, hi = brackets
@@ -447,15 +454,7 @@ class AdvisorService:
         self.stats.cold_builds += 1
         surface = await asyncio.to_thread(self._cold_build, job)
         self._admit(surface)
-        best = surface.best(job.budget)
-        if best is not None:
-            return _advice_from_cell(best, surface, "cold", job.budget)
-        best = surface.best()
-        if best is None:
-            raise LookupError("cold build produced no guaranteed cell")
-        return _advice_from_cell(
-            best, surface, "cold", job.budget, within_budget=False
-        )
+        return _recommend(surface, "cold", job.budget)
 
     async def advise(self, job: JobSpec) -> Advice:
         """Answer one query, coalescing with identical in-flight ones.

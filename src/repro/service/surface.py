@@ -387,7 +387,6 @@ class SurfaceBuilder:
     store: SurfaceStore | None = None
     cache_dir: str | None = None
     workers: int = 1
-    engine_mode: str = "vector"
 
     def __post_init__(self) -> None:
         self._vector_stats = None
@@ -455,7 +454,7 @@ class SurfaceBuilder:
             num_experiments=head.num_experiments,
             seed=head.seed,
             workers=self.workers,
-            engine_mode=self.engine_mode,
+            engine_mode="vector",
             cache_dir=self._cache_dir(),
         ) as runner:
             per_count = [

@@ -150,6 +150,9 @@ def read_trace(
 
     The grid spans the latest first-event to the earliest last-event
     across zones, so every zone has a defined price at every sample.
+    Zones come back in name order, whatever their order in the file:
+    a trace written with zones ``('zb', 'za')`` reads back as
+    ``('za', 'zb')``, with a different fingerprint.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r", newline="") as fh:

@@ -124,10 +124,3 @@ class TestParallelAudit:
         assert records
         assert report.counters.runs > 0
         assert report.ok, f"workers reported violations: {report.violations}"
-
-    def test_with_workers_propagates_audit_flags(self, tmp_path):
-        path = str(tmp_path / "a.jsonl")
-        runner = ExperimentRunner("low", num_experiments=2, audit_out=path)
-        widened = runner.with_workers(2)
-        assert widened.audit
-        assert widened.audit_out == path

@@ -158,3 +158,72 @@ class TestCacheCommand:
         assert "cleared 1" in capsys.readouterr().out
         assert main(["cache", cache_dir]) == 0
         assert "0 cached runs" in capsys.readouterr().out
+
+
+#: Every run option with a sample value.
+RUN_OPTIONS = {
+    "--experiments": ["2"],
+    "--seed": ["5"],
+    "--workers": ["2"],
+    "--engine": ["fast"],
+    "--audit": [],
+    "--audit-out": ["a.jsonl"],
+    "--cache-dir": ["rc"],
+}
+NON_SEED = tuple(opt for opt in RUN_OPTIONS if opt != "--seed")
+#: (command, option) pairs a command does not honour and must refuse.
+REJECTED = [
+    *((cmd, opt) for cmd in ("fig1", "run")
+      for opt in ("--experiments", "--workers")),
+    *((cmd, opt) for cmd in ("fig2", "var", "export-trace") for opt in NON_SEED),
+    *(("queuing", opt) for opt in RUN_OPTIONS),
+    *((cmd, opt) for cmd in ("surface", "advise", "serve")
+      for opt in ("--engine", "--audit", "--audit-out")),
+]
+
+
+def _base_argv(command: str, tmp_path) -> list[str]:
+    """A small, otherwise valid invocation of ``command``."""
+    store = ["--store", str(tmp_path / "surfaces"), "--compute-hours", "2",
+             "--experiments", "2"]
+    return {
+        "fig1": ["fig1", "--window", "low"],
+        "run": ["run", "--policy", "periodic", "--window", "low"],
+        "export-trace": ["export-trace", str(tmp_path / "trace.csv")],
+        "surface": ["surface", "build", *store, "--policies", "periodic",
+                    "--bids", "0.81", "--zone-counts", "1"],
+        "advise": ["advise", *store],
+        "serve": ["serve", "--store", str(tmp_path / "surfaces")],
+    }.get(command, [command])
+
+
+class TestEveryOptionIsHonoured:
+    """A command registers only the run options it acts on: any other
+    is an argparse error (exit 2), never silently dropped."""
+
+    def test_rejected_pair_count(self):
+        assert len(REJECTED) == 38
+
+    @pytest.mark.parametrize(
+        "command,option,value",
+        [(cmd, opt, RUN_OPTIONS[opt]) for cmd, opt in REJECTED]
+        + [("fig1", "--engine", ["vector"]), ("run", "--engine", ["vector"])],
+    )
+    def test_unhonoured_option_exits_2(self, command, option, value, tmp_path,
+                                       monkeypatch, capsys):
+        import io
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(""))
+        with pytest.raises(SystemExit) as exc:
+            main([*_base_argv(command, tmp_path), option, *value])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err
+
+    def test_table2_reports_audit_and_one_cache_line(self, tmp_path, capsys):
+        assert main(["table2", "--experiments", "2", "--audit",
+                     "--cache-dir", str(tmp_path / "rc")]) == 0
+        captured = capsys.readouterr()
+        assert any(line.startswith("audit:")
+                   for line in captured.out.splitlines())
+        assert captured.err.count("run-cache:") == 1

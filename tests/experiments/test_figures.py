@@ -56,9 +56,9 @@ class TestFig4:
 
 class TestTables:
     def test_optimal_table_rows(self):
-        rows = figures.optimal_policy_table(
-            300.0, num_experiments=2, bids=(0.81,)
-        )
+        runners = {w: ExperimentRunner(w, num_experiments=2)
+                   for w in ("low", "high")}
+        rows = figures.optimal_policy_table(runners, 300.0, bids=(0.81,))
         assert len(rows) == 4
         for row in rows:
             assert row["winner"] in row["medians"] or any(

@@ -100,14 +100,6 @@ class TestExecutor:
         with pytest.raises(ValueError):
             SweepExecutor("low", num_experiments=5, workers=0)
 
-    def test_with_workers_round_trip(self, serial):
-        same = serial.with_workers(1)
-        assert same is serial
-        other = serial.with_workers(3)
-        assert other.workers == 3
-        assert other.window == serial.window
-        assert other.seed == serial.seed
-
     def test_worker_init_builds_the_cached_window(self):
         """A pool worker's runner holds the process's cached evaluation
         window, exactly the trace a serial runner builds."""

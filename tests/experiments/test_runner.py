@@ -125,22 +125,6 @@ class TestWorkerConfiguration:
         with pytest.raises(ValueError):
             ExperimentRunner("low", num_experiments=4, trace=trace)
 
-    def test_with_workers_keeps_trace_and_cache(self):
-        from repro.experiments.cache import RunCache
-        from repro.traces.library import evaluation_window
-
-        cache = RunCache(None)
-        own = ExperimentRunner("low", num_experiments=2, cache=cache)
-        with own.with_workers(2) as par:
-            assert par.cache is cache and par.workers == 2
-            assert par.trace is own.trace
-        trace, eval_start = evaluation_window("low", 7)
-        explicit = ExperimentRunner("low", num_experiments=2, trace=trace,
-                                    eval_start=eval_start, cache=cache)
-        with pytest.raises(ValueError, match="explicit trace"):
-            explicit.with_workers(2)
-        assert explicit.with_workers(1) is explicit
-
 
 class TestBadCubeAxes:
     """A cube with an empty or impossible axis raises instead of

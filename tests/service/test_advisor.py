@@ -20,6 +20,8 @@ from repro.experiments.runner import ExperimentRunner
 from repro.service import (
     AdvisorService,
     JobSpec,
+    PolicySurface,
+    SurfaceCell,
     SurfaceBuilder,
     SurfaceCorruptError,
     SurfaceSpec,
@@ -398,3 +400,43 @@ class TestServeLines:
         response = json.loads(out.getvalue())
         assert response["id"] is None
         assert response["error"].startswith("bad query")
+
+    def test_surface_without_a_guaranteed_cell_is_an_error_line(self, tmp_path):
+        """A surface whose every cell missed a deadline has nothing to
+        recommend: its query gets one ``{"error": ...}`` line and is
+        left out of the answered count, while the next query is served."""
+
+        def surface(deadline_s, miss_risk):
+            cell = SurfaceCell(
+                policy="periodic", zones=1, bid=0.81, expected_cost=5.0,
+                worst_cost=6.0, miss_risk=miss_risk,
+                mean_makespan_s=BASE["compute_s"], num_runs=4,
+            )
+            return PolicySurface(
+                spec=SurfaceSpec(deadline_s=deadline_s, **BASE),
+                cells=(cell,), build_seconds=0.0, built_unix=0.0,
+            )
+
+        store = SurfaceStore(tmp_path)
+        store.save(surface(DEADLINE, miss_risk=0.5))
+        store.save(surface(2 * DEADLINE, miss_risk=0.0))
+        lines = [
+            json.dumps({"id": 1, "compute_s": BASE["compute_s"],
+                        "deadline_s": DEADLINE,
+                        "ckpt_cost_s": BASE["ckpt_cost_s"]}),
+            json.dumps({"id": 2, "compute_s": BASE["compute_s"],
+                        "deadline_s": 2 * DEADLINE,
+                        "ckpt_cost_s": BASE["ckpt_cost_s"]}),
+        ]
+        service = AdvisorService(store)
+        out = io.StringIO()
+        answered = run(serve_lines(service, lines, out))
+        responses = [json.loads(x) for x in out.getvalue().splitlines()]
+        assert answered == 1
+        assert responses[0] == {
+            "id": 1,
+            "error": "surface has no deadline-guaranteed cell to recommend",
+        }
+        assert responses[1]["source"] == "surface"
+        assert service.stats.queries == 2
+        assert service.stats.cold_builds == 0
