@@ -248,9 +248,7 @@ class SpotSimulator:
             if key is not None:
                 entry = cache.get(key)
                 if entry is not None:
-                    for _ in range(entry.rng_draws):
-                        self.queue_model.sample(self.rng)
-                    return entry.result
+                    return entry.replay(self.queue_model, self.rng)
                 self._rng_draws = 0
                 result = self._simulate(
                     config, policy, bid, zones, start_time,

@@ -39,8 +39,8 @@ over hazard bounds instead of a per-run heap.
 
 Bit-exactness is the contract: every float operation replays the
 scalar engine's arithmetic in the same order (left-associative sums,
-``min``-tie-breaking, the repeated-addition accrual for fractional
-accumulators), every RNG draw comes from the same per-run
+``min``-tie-breaking, the repeated-addition accrual wherever a closed
+form would round differently), every RNG draw comes from the same per-run
 ``numpy.random.Generator`` in the same sequence, and the event log —
 when recorded — matches entry for entry.  The differential suite
 (:func:`repro.audit.differential.vector_differential_cube`) holds the
@@ -593,9 +593,7 @@ class VectorSimulator:
                 continue
             entry = cache.get(key)
             if entry is not None:
-                for _ in range(entry.rng_draws):
-                    self.queue_model.sample(rngs[i])
-                results[i] = entry.result
+                results[i] = entry.replay(self.queue_model, rngs[i])
             else:
                 keys[i] = key
                 todo.append(i)
@@ -631,7 +629,7 @@ class VectorSimulator:
             starts, rngs, controller_factory,
         )
         if b.md is not None:  # policy reset + schedule at start
-            b.md_schedule(np.flatnonzero(b.md))
+            b.md_schedule(b.md.nonzero()[0])
         for _round in range(b.max_rounds):
             if not b.alive.any():
                 break
@@ -661,26 +659,37 @@ _DT = float(SAMPLE_INTERVAL_S)
 def _grid_index(t: np.ndarray, z0: float, length: int) -> np.ndarray:
     """Sample index of every clock in ``t`` on a zone grid starting at
     ``z0``, clipped into the zone's ``length`` samples."""
-    return np.clip(((t - z0) // _DT).astype(np.int64), 0, length - 1)
+    return np.minimum(np.maximum(((t - z0) // _DT).astype(np.int64), 0), length - 1)
 
 
 def _repeated_sums(x: float, step: float, k: int) -> list[float]:
     """``x`` and its ``k`` successive sums with ``step``, one float
     addition each (``accumulate`` adds in sequence): the scalar
     engine's per-tick accrual, which a closed form ``x + k * step``
-    would round differently on a fractional accumulator."""
+    can round differently when a fractional accumulator climbs into a
+    coarser binade (see :func:`_accrue`)."""
     return list(accumulate(repeat(step, k), initial=x))
 
 
 def _accrue(col: np.ndarray, rows: np.ndarray, k: np.ndarray, step: float) -> None:
-    """Add ``k[i]`` ticks of ``step`` to ``col[i]`` for ``rows``: in
-    closed form where the accumulator is integral (every partial sum is
-    then exact), by repeated addition everywhere else."""
+    """Add ``k[i]`` ticks of ``step`` to ``col[i]`` for ``rows``, as
+    :func:`_repeated_sums` would.  ``k[i] * step`` must be exact (it is
+    for the engine's whole-second ``±_DT`` steps).
+
+    Where ``col[i]`` and ``step`` are multiples of ``u``, the spacing
+    of doubles at the larger of ``|col[i]|`` and ``|col[i] + k[i] *
+    step|``, every partial sum is a multiple of ``u`` no larger in
+    magnitude, hence exact, and the closed form ``col[i] + k[i] * step``
+    equals the repeated sums.  That covers integral accumulators and
+    every countdown; only sums that climb into a coarser binade from a
+    fractional start take the per-row path."""
     if not rows.any():
         return
-    whole = rows & (col == np.floor(col))
-    col[whole] += k[whole] * step
-    for i in np.flatnonzero(rows & ~whole):
+    kstep = k * step
+    u = np.spacing(np.maximum(np.abs(col), np.abs(col + kstep)))
+    exact = rows & (np.fmod(col, u) == 0.0) & (np.fmod(step, u) == 0.0)
+    col[exact] += kstep[exact]
+    for i in (rows & ~exact).nonzero()[0]:
         col[i] = _repeated_sums(float(col[i]), step, int(k[i]))[-1]
 
 
@@ -689,7 +698,33 @@ def _next_mark(marks, iz):
     and its copy extended by the zone's length) strictly after each
     grid index ``iz``; the zone's length where none is."""
     idx, ext = marks
-    return ext[np.searchsorted(idx, iz, side="right")]
+    return ext[idx.searchsorted(iz, side="right")]
+
+
+def _class_marks(marks: list, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """One search table over per-class ``marks`` (each as
+    :func:`_next_mark` takes them) on a zone of ``length`` samples.
+
+    Class ``c``'s extended marks (its sorted indices, then ``length``)
+    are offset by ``c * (length + 1)``: each class's block of keys is
+    sorted and lies below the next class's, so the blocks concatenate
+    into one sorted array.  Returns ``(keys, extended marks)``."""
+    exts = [ext for _, ext in marks]
+    keys = np.concatenate(
+        [ext + c * (length + 1) for c, ext in enumerate(exts)]
+    )
+    return keys, np.concatenate(exts)
+
+
+def _class_next_mark(table, cls: np.ndarray, iz: np.ndarray, length: int):
+    """``_next_mark(marks[cls[i]], iz[i])`` for every ``i`` with one
+    ``searchsorted`` over the :func:`_class_marks` table.  A query key
+    ``c * (length + 1) + min(iz, length - 1)`` stays below class ``c``'s
+    closing ``length`` key (an index at or past the last sample has no
+    mark after it either way), so it lands inside class ``c``'s block."""
+    keys, ext = table
+    q = cls * (length + 1) + np.minimum(iz, length - 1)
+    return ext[keys.searchsorted(q, side="right")]
 
 
 def _tighten(bound: np.ndarray, rows: np.ndarray, cap) -> np.ndarray:
@@ -812,10 +847,11 @@ class _Lockstep:
         # crossing arrays per (zone block, threshold), fetched lazily
         # and memoized on the ZoneTrace, so repeats are shared across
         # batches too; the fused bid axis groups rows into bid classes
-        # for the quiescence bound, regrouped whenever a controller
-        # re-plans a bid
+        # for the quiescence bound (next_crossings), regrouped at the
+        # first search after a controller re-plans a bid
         self.cross_cache: dict = {}
-        self.classes = self.bid_classes()
+        self.ubids = self.bclass = None
+        self.class_marks: dict = {}
         # combined expected uptimes are memoized here: the oracle's
         # level-conditioned models make the value a pure function of
         # (zone set, stats bucket, per-zone price levels, bid), and
@@ -895,12 +931,30 @@ class _Lockstep:
             self.cross_cache[(zi, b)] = got
         return got
 
-    def bid_classes(self):
-        ubids, bclass = np.unique(self.bid_arr, return_inverse=True)
-        return [
-            (float(ub), np.flatnonzero(bclass == b))
-            for b, ub in enumerate(ubids)
-        ]
+    def regroup(self) -> None:
+        """Group rows into bid classes: the distinct bids ``ubids``
+        (ascending) and each row's class ``bclass``.  The class-keyed
+        crossing tables of :meth:`next_crossings` depend only on
+        ``ubids`` and are dropped when those change."""
+        ubids, self.bclass = np.unique(self.bid_arr, return_inverse=True)
+        if not np.array_equal(ubids, self.ubids):
+            self.ubids = ubids
+            self.class_marks = {}
+
+    def next_crossings(self, zi: int, iz: np.ndarray, cap: float = math.inf):
+        """Per row, the first crossing of zone block ``zi`` at
+        ``min(row's bid, cap)`` strictly after grid index ``iz``; the
+        zone's length where none is.  One search over every bid class
+        at once (:func:`_class_next_mark`)."""
+        if self.bclass is None:
+            self.regroup()
+        table = self.class_marks.get((zi, cap))
+        if table is None:
+            table = self.class_marks[(zi, cap)] = _class_marks(
+                [self.crossings(zi, min(float(ub), cap)) for ub in self.ubids],
+                self.zlen[zi],
+            )
+        return _class_next_mark(table, self.bclass, iz, self.zlen[zi])
 
     def log(self, i, time, kind, zone, detail) -> None:
         """Append one event to row ``i``'s log; callers check that
@@ -920,7 +974,7 @@ class _Lockstep:
         hourst, zrate, zspot = self.hourst[zi], self.zrate[zi], self.zspot[zi]
         zhours, prices, z0 = self.zhours[zi], self.zprices[zi], self.zz0[zi]
         while True:
-            idx = np.flatnonzero(mask & (hourst + 3600.0 <= upto + 1e-6))
+            idx = (mask & (hourst + 3600.0 <= upto + 1e-6)).nonzero()[0]
             if idx.size == 0:
                 return
             boundary = hourst[idx] + 3600.0
@@ -981,10 +1035,10 @@ class _Lockstep:
         demand (2), every running zone closed at ``close_at``."""
         zst = self.zst
         for zi in range(self.Z):
-            idx = np.flatnonzero(mask & (zst[zi] >= QUEUING))
+            idx = (mask & (zst[zi] >= QUEUING)).nonzero()[0]
             if idx.size:
                 self.close(zi, idx, close_at[idx])
-        ri = np.flatnonzero(mask)
+        ri = mask.nonzero()[0]
         zst[:, ri] = DOWN
         self.finish[ri] = finish[ri]
         self.completed_on[ri] = how
@@ -1000,7 +1054,7 @@ class _Lockstep:
         comp_mask = zst == COMPUTING
         loc = self.zbase + self.zcomp
         loc_masked = np.where(comp_mask, loc, -np.inf)
-        lead_zi = np.argmax(loc_masked, axis=0)
+        lead_zi = loc_masked.argmax(axis=0)
         lead_local = loc_masked[lead_zi, self.rows]
         return (
             comp_mask, loc, lead_zi, lead_local,
@@ -1103,7 +1157,7 @@ class _Lockstep:
             elif zst[zi, i] == WAITING:
                 zst[zi, i] = DOWN
         self.bid_arr[i] = float(dec.bid)
-        self.classes = self.bid_classes()
+        self.bclass = None  # regroup at the next crossing search
         self.zact[:, i] = False
         for z in new_zones:
             self.zact[zidx[z], i] = True
@@ -1157,7 +1211,7 @@ class _Lockstep:
             run_z = a & (st >= QUEUING)
             term = run_z & (pz > bid_arr)
             if term.any():
-                ti = np.flatnonzero(term)
+                ti = term.nonzero()[0]
                 self.reset_zone(zi, ti)  # partial hour forfeited
                 self.zterm[zi][ti] += 1
                 if lb:  # release_on_commit.discard(zone)
@@ -1171,7 +1225,7 @@ class _Lockstep:
             )  # eligible_to_start: Large-bid gates on L
             to_wait = notrun & start_ok & (st == DOWN)
             if to_wait.any():
-                wi = np.flatnonzero(to_wait)
+                wi = to_wait.nonzero()[0]
                 st[wi] = WAITING
                 if events is not None:
                     self.emit(wi, t[wi], "waiting", zorder[zi],
@@ -1195,7 +1249,7 @@ class _Lockstep:
             & ~any_ck & has_comp & fresh
         )
         if force.any():
-            fi = np.flatnonzero(force)
+            fi = force.nonzero()[0]
             self.start_checkpoints(fi, lead_zi[fi], lead_local, "forced ")
         migrate = alive & ~safe
         if migrate.any():
@@ -1229,7 +1283,7 @@ class _Lockstep:
         restore = np.where(best_prog > 0, tr, 0.0)
         overhead = best_pre + restore
         rem_comp = np.maximum(C - best_prog, 0.0)
-        mi = np.flatnonzero(migrate)
+        mi = migrate.nonzero()[0]
         if self.events is not None:
             self.emit(mi, t[mi], "ondemand-switch", None,
                       [f"C_r={float(c):.0f}s T_r={float(r):.0f}s"
@@ -1255,7 +1309,7 @@ class _Lockstep:
             ~run_act.any(axis=0) | at_bound
             | ((t - self.last_eval) >= self.reeval)
         )
-        for i in np.flatnonzero(trig):
+        for i in trig.nonzero()[0]:
             dec = self.controllers[i].decide_at_epoch(self.make_ctx(i))
             self.last_eval[i] = t[i]
             if dec is not None:
@@ -1290,7 +1344,7 @@ class _Lockstep:
             hourly &= fresh
             if lb:
                 hourly &= np.stack(self.znow_p, axis=0)[lead_zi, rows] > self.L
-            di = np.flatnonzero(hourly)
+            di = hourly.nonzero()[0]
             self.latch[lead_zi[di], di] = lhour[di]
             due |= hourly
         if "edge" in on:
@@ -1304,11 +1358,11 @@ class _Lockstep:
             timed = md & elig & (t + 1e-6 >= self.md_next)
             noprog = timed & ~fresh
             # push instead of a no-progress commit
-            self.md_schedule(np.flatnonzero(noprog))
+            self.md_schedule(noprog.nonzero()[0])
             due |= timed & ~noprog
         if "threshold" in on:
             bid_arr, znow_i = self.bid_arr, self.znow_i
-            for i in np.flatnonzero(on["threshold"] & elig & fresh):
+            for i in (on["threshold"] & elig & fresh).nonzero()[0]:
                 now, bid_i = float(t[i]), float(bid_arr[i])
                 if any(
                     self.threshold_fires(i, zi, now, bid_i, int(znow_i[zi][i]))[0]
@@ -1318,7 +1372,7 @@ class _Lockstep:
         # "never" declares nothing due
         fire = (start_ck & join_due) | due
         if fire.any():
-            fi = np.flatnonzero(fire)
+            fi = fire.nonzero()[0]
             self.start_checkpoints(fi, lead_zi[fi], lead_local, "")
             if lb:  # release_after_checkpoint is always True
                 self.rel_pending[fi] = True
@@ -1333,7 +1387,7 @@ class _Lockstep:
         any_running = (zst >= QUEUING).any(axis=0)
         go = self.alive & waiting_any & (~any_running | ckpt_flag)
         events, zorder = self.events, self.zorder
-        for i in np.flatnonzero(go):
+        for i in go.nonzero()[0]:
             source = "recent" if ckpt_flag[i] else "previous"
             com = float(committed[i])
             for zi in range(self.Z):
@@ -1350,7 +1404,7 @@ class _Lockstep:
                     self.log(i, t[i], "restarted", zorder[zi],
                              f"from-{source}-ckpt P={com:.0f}s")
         if self.md is not None:  # one reschedule after each row's restarts
-            self.md_schedule(np.flatnonzero(go & self.md))
+            self.md_schedule((go & self.md).nonzero()[0])
         ckpt_flag &= ~self.alive  # cleared every tick by _policy_actions
 
     def advance(self) -> np.ndarray:
@@ -1387,7 +1441,7 @@ class _Lockstep:
             m = run_z & (st == CHECKPOINTING) & (remaining > 1e-9)
             if m.any():
                 done = _countdown(ph, m, remaining)
-                di = np.flatnonzero(done)
+                di = done.nonzero()[0]
                 commit_val[di] = self.pendc[zi][di]
                 commit_zi[di] = zi
                 has_commit[di] = True
@@ -1406,7 +1460,7 @@ class _Lockstep:
                 done_post = mm & (need <= 1e-9)
                 fin_off[zi][done_post] = dt - remaining[done_post]
 
-        ci = np.flatnonzero(has_commit)  # at most one ckpt per run
+        ci = has_commit.nonzero()[0]  # at most one ckpt per run
         if ci.size:
             self.committed[ci] = commit_val[ci]
             self.ncomm[ci] += 1
@@ -1430,7 +1484,7 @@ class _Lockstep:
         done_r = alive & ~np.isnan(fin)
         if done_r.any():
             if events is not None:
-                di = np.flatnonzero(done_r)
+                di = done_r.nonzero()[0]
                 self.emit(di, fin[di], "completed", None,
                           ["on spot"] * di.size)
             self.retire(done_r, fin, fin, 1)
@@ -1519,20 +1573,14 @@ class _Lockstep:
             off = a & ~run_z & (zst[zi] != CHECKPOINTING)
             # a non-running zone flips at min(bid, start threshold)
             zero |= off & ((pz <= theta_dn) != wait_mask[zi])
-            nonrun = ~(zst[zi] >= QUEUING)
-            for ub, rows_b in self.classes:
-                if zact is not None:
-                    rows_b = rows_b[zact[zi, rows_b]]
-                    if rows_b.size == 0:
-                        continue
-                nc = _next_mark(self.crossings(zi, ub), i2[rows_b])
-                if lb and math.isfinite(L):
-                    nc = np.where(nonrun[rows_b], _next_mark(
-                        self.crossings(zi, min(ub, L)), i2[rows_b]
-                    ), nc)
-                kq[rows_b] = np.minimum(
-                    kq[rows_b], (nc - i2[rows_b]).astype(np.float64)
+            nc = self.next_crossings(zi, i2)
+            if lb and math.isfinite(L):
+                # a non-running zone flips at min(bid, L)
+                nc = np.where(
+                    zst[zi] >= QUEUING, nc, self.next_crossings(zi, i2, L)
                 )
+            near = np.minimum(kq, (nc - i2).astype(np.float64))
+            kq = near if zact is None else np.where(zact[zi], near, kq)
             # queue / restore countdowns: stop before one runs out
             nstep = np.floor_divide(phase[zi] - 1e-6, _DT)
             zero |= trans_mask[zi] & (nstep < 1.0)
@@ -1596,7 +1644,7 @@ class _Lockstep:
         ``horizon``: now where a guard fires, else the earliest of each
         computing zone's next rising edge and time-threshold expiry."""
         t, zst, bid_arr = self.t, self.zst, self.bid_arr
-        for i in np.flatnonzero(rows):
+        for i in rows.nonzero()[0]:
             now = float(t[i])
             if not fresh[i]:
                 horizon[i] = now  # no uncommitted progress
@@ -1636,7 +1684,7 @@ class _Lockstep:
             m = run_mask[zi]
             if not m.any():
                 continue
-            steps = np.round(((hourst[zi] + 3600.0) - t) / _DT)
+            steps = np.rint(((hourst[zi] + 3600.0) - t) / _DT)
             kq = _tighten(kq, m, steps)
         return kq
 
@@ -1658,7 +1706,7 @@ class _Lockstep:
             # ones (fractional starts), which also place each roll
             last = t + (kf - 1.0) * _DT
             clocks = {}
-            for i in np.flatnonzero(accr & (t != np.floor(t))):
+            for i in (accr & (t != np.floor(t))).nonzero()[0]:
                 clocks[i] = _repeated_sums(float(t[i]), _DT, int(ki[i]))
                 last[i] = clocks[i][-2]
             entries_by_run: dict[int, list] = {}

@@ -289,6 +289,15 @@ class CachedRun:
     result: RunResult
     rng_draws: int
 
+    def replay(self, queue_model, rng) -> RunResult:
+        """The stored result, after drawing the cold run's queue delays
+        from ``rng`` in one ``sample_many`` call: a batch of ``k``
+        draws leaves the generator where ``k`` single ``sample`` calls
+        do (``standard_normal(k)`` draws element by element)."""
+        if self.rng_draws:
+            queue_model.sample_many(rng, self.rng_draws)
+        return self.result
+
 
 # -- record codec -----------------------------------------------------------
 

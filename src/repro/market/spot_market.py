@@ -24,10 +24,12 @@ Two cache layers exist:
   its refits at other price levels) shares them for free.
 * **Per-oracle caches** map ``(zone, hour bucket[, price level])`` to
   fitted models and to the batch statistics arrays that
-  :meth:`zone_stats` serves, and ``(bucket, zone sets, every zone's
-  price level, bids)`` to the (zone set x bid) matrices that
-  :meth:`zone_set_stats` serves, so the Adaptive grid, the per-policy
-  scalar queries, and parallel sweep workers all hit the same entries.
+  :meth:`zone_stats` serves, ``(zone, bucket, price level, bid)`` to
+  the per-zone expected up times :meth:`combined_uptimes` sums, and
+  ``(bucket, zone sets, every zone's price level, bids)`` to the (zone
+  set x bid) matrices that :meth:`zone_set_stats` serves, so the
+  Adaptive grid, the per-policy scalar queries, and parallel sweep
+  workers all hit the same entries.
 """
 
 from __future__ import annotations
@@ -73,6 +75,9 @@ class PriceOracle:
     _zone_set_cache: dict = field(default_factory=dict, repr=False)
     #: zone sets -> their :class:`_ZoneSetPlan`.
     _zone_set_plans: dict = field(default_factory=dict, repr=False)
+    #: (zone, bucket, level, bid) -> expected up time, seconds: the
+    #: per-zone terms :meth:`combined_uptimes` sums.
+    _uptime_cache: dict = field(default_factory=dict, repr=False)
     #: (zone, bucket, bid) -> empirical mean up-run seconds.
     _uprun_cache: dict = field(default_factory=dict, repr=False)
     #: (zone, i0, i1) -> min price over that exact sample range.
@@ -240,7 +245,7 @@ class PriceOracle:
         model = self.markov_model(zone, t)
         if level is None:
             level = float(self.price(zone, t))
-        if level == float(model.levels[int(np.argmax(model.initial))]):
+        if level == float(model.levels[int(model.initial.argmax())]):
             return model
         key = (zone, self._bucket(t), level)
         refit = self._refit_cache.get(key)
@@ -336,13 +341,31 @@ class PriceOracle:
         self, zones: Sequence[str], t: float, bids: Sequence[float] | np.ndarray
     ) -> np.ndarray:
         """Summed per-zone expected up times over a bid grid
-        (Section 4.2's combination rule), one array entry per bid."""
+        (Section 4.2's combination rule), one array entry per bid.
+
+        Each zone's term is a pure function of (zone, stats bucket,
+        price level, bid) — the level-conditioned model fixes the start
+        state — so it is memoized per such key and shared by every zone
+        set, engine pass and bid grid asking for it.  The terms are
+        added in zone order onto zeros, as one ``total +=`` per zone.
+        """
         if not zones:
             raise ValueError("no zones supplied")
         bids_arr = np.asarray(bids, dtype=np.float64)
+        bid_list = bids_arr.tolist()
+        bucket = self._bucket(t)
+        cache = self._uptime_cache
         total = np.zeros(bids_arr.size, dtype=np.float64)
         for zone in zones:
-            total += self._model_at_level(zone, t).expected_uptime_batch(bids_arr)
+            level = float(self.price(zone, t))
+            terms = [cache.get((zone, bucket, level, b)) for b in bid_list]
+            if None in terms:
+                terms = self._model_at_level(zone, t, level).expected_uptime_batch(
+                    bids_arr
+                ).tolist()
+                for b, term in zip(bid_list, terms):
+                    cache[(zone, bucket, level, b)] = term
+            total += terms
         return total
 
     # -- scalar wrappers ---------------------------------------------------

@@ -29,7 +29,6 @@ lazily with one absorbing solve per distinct reachable set.
 
 from __future__ import annotations
 
-import copy
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -37,6 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.market.constants import SAMPLE_INTERVAL_S
+from repro.stats import lapack
 
 
 class MarkovError(ValueError):
@@ -105,10 +105,10 @@ class PriceMarkovModel:
         # ``not err <= tol`` so a NaN or infinite entry, which makes its
         # sum NaN or infinite, fails them too.
         tol = 1e-5 + 1e-9
-        rows = self.trans.sum(axis=1)
-        if not float(np.abs(rows - 1.0).max()) <= tol:
+        rows = np.add.reduce(self.trans, axis=1)
+        if not float(np.maximum.reduce(np.abs(rows - 1.0))) <= tol:
             raise MarkovError("transition matrix rows must sum to 1")
-        if not abs(float(self.initial.sum()) - 1.0) <= tol:
+        if not abs(float(np.add.reduce(self.initial)) - 1.0) <= tol:
             raise MarkovError("initial vector must sum to 1")
         object.__setattr__(self, "_chain", _ChainTables(self.trans))
 
@@ -188,14 +188,14 @@ class PriceMarkovModel:
             raise MarkovError(f"smoothing must be in [0, 1), got {smoothing}")
         n = levels.size
         counts = counts.reshape(n, n).astype(np.float64)
-        row_sums = counts.sum(axis=1, keepdims=True)
+        row_sums = np.add.reduce(counts, axis=1, keepdims=True)
         trans = np.where(row_sums > 0, counts / np.where(row_sums == 0, 1, row_sums), 0.0)
-        marginal = counts.sum(axis=0)
-        total = marginal.sum()
+        marginal = np.add.reduce(counts, axis=0)
+        total = np.add.reduce(marginal)
         marginal = marginal / total if total > 0 else np.full(n, 1.0 / n)
         # Rows with no observed outgoing transition (a level appearing
         # only as the very last sample) back off to the marginal.
-        empty = np.flatnonzero(row_sums[:, 0] == 0)
+        empty = (row_sums[:, 0] == 0).nonzero()[0]
         if empty.size:
             trans[empty] = marginal
         if smoothing > 0.0:
@@ -222,16 +222,17 @@ class PriceMarkovModel:
         nearest-level ``argmin`` and the point-mass solve reproduces the
         dense ``p0 @ x`` contraction exactly.
         """
-        start = int(np.argmin(np.abs(self.levels - current_price)))
+        start = int(np.abs(self.levels - current_price).argmin())
         if self._start_state() == start:
             return self
         initial = np.zeros(self.num_states)
         initial[start] = 1.0
-        # A shallow copy: the chain was validated when it was built.
-        clone = copy.copy(self)
-        object.__setattr__(clone, "initial", initial)
-        object.__setattr__(clone, "_start", start)
-        object.__setattr__(clone, "_uptimes", None)
+        # A shallow copy (what ``copy.copy`` builds, without its
+        # dispatch): the chain was validated when it was built.
+        clone = object.__new__(type(self))
+        clone.__dict__.update(
+            self.__dict__, initial=initial, _start=start, _uptimes=None
+        )
         return clone
 
     # ------------------------------------------------------------------
@@ -243,12 +244,12 @@ class PriceMarkovModel:
     def up_count(self, bid: float) -> int:
         """Number of up states at ``bid``: levels are sorted, so the up
         set is always the ``k`` cheapest levels."""
-        return int(np.searchsorted(self.levels, bid, side="right"))
+        return int(self.levels.searchsorted(bid, side="right"))
 
     def up_counts(self, bids: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`up_count` over a bid grid."""
-        return np.searchsorted(
-            self.levels, np.asarray(bids, dtype=np.float64), side="right"
+        return self.levels.searchsorted(
+            np.asarray(bids, dtype=np.float64), side="right"
         )
 
     #: Absolute expected-uptime cap for chains whose up-states are
@@ -321,7 +322,7 @@ class PriceMarkovModel:
         """Start state when ``initial`` is an exact point mass, else -1."""
         s = self._start
         if s is None:
-            nz = np.flatnonzero(self.initial)
+            nz = self.initial.nonzero()[0]
             s = int(nz[0]) if nz.size == 1 and self.initial[nz[0]] == 1.0 else -1
             object.__setattr__(self, "_start", s)
         return s
@@ -359,13 +360,15 @@ class PriceMarkovModel:
         entry = chain.reach.get(s) if s >= 0 else None
         if entry is None:
             n = self.num_states
-            sources = np.flatnonzero(self.initial > 0.0)
+            sources = (self.initial > 0.0).nonzero()[0]
             m = np.full(n, n)
             m[sources] = sources
             # Entering j over an edge costs max(path so far, j).
             hop = chain.hop()
             while True:
-                nxt = np.minimum(m, np.maximum(m[:, None], hop).min(axis=0))
+                nxt = np.minimum(
+                    m, np.minimum.reduce(np.maximum(m[:, None], hop), axis=0)
+                )
                 if (nxt == m).all():
                     break
                 m = nxt
@@ -399,13 +402,13 @@ class PriceMarkovModel:
         m, m_sorted, m_max = self._reach()
         r = bisect_left(m_sorted, k)  # |{j : m[j] < k}| >= 1
         # Nearly always the reachable set is the prefix 0..r-1.
-        reachable = None if m_max[r - 1] < k else np.flatnonzero(m < k)
+        reachable = None if m_max[r - 1] < k else (m < k).nonzero()[0]
         x = self._chain.solve(r, reachable)
         cap = self._uptime_cap()
         if x is None:
             return cap
         if s >= 0:
-            pos = s if reachable is None else int(np.searchsorted(reachable, s))
+            pos = s if reachable is None else int(reachable.searchsorted(s))
             steps = float(x[pos])
         else:
             p0 = p0_full[:r] if reachable is None else p0_full[reachable]
@@ -454,10 +457,10 @@ class PriceMarkovModel:
         chain = self._chain
         v = chain.stationary
         if v is None:
-            evals, evecs = np.linalg.eig(self.trans.T)
-            i = int(np.argmin(np.abs(evals - 1.0)))
-            v = np.abs(np.real(evecs[:, i]))
-            total = v.sum()
+            evals, evecs = lapack.eig(self.trans.T)
+            i = int(np.abs(evals - 1.0).argmin())
+            v = np.abs(evecs[:, i].real)
+            total = np.add.reduce(v)
             if total <= 0:
                 raise MarkovError("degenerate stationary distribution")
             v = v / total
@@ -570,17 +573,11 @@ class _ChainTables:
                 q = self.trans[np.ix_(reachable, reachable)]
             x = None
             # A closed class (every row already sums to 1 within the
-            # set) never terminates at this bid.
-            if not q.sum(axis=1).min() > 1.0 - 1e-12:
-                try:
-                    x = np.linalg.solve(np.eye(r) - q, np.ones(r))
-                except np.linalg.LinAlgError:
-                    # A closed sub-class is reachable with positive
-                    # probability: the expectation diverges.
-                    x = None
-                else:
-                    if not np.isfinite(x).all():
-                        x = None
+            # set) never terminates at this bid; a singular I - Q means
+            # a closed sub-class is reachable with positive probability:
+            # the expectation diverges either way.
+            if not np.minimum.reduce(np.add.reduce(q, axis=1)) > 1.0 - 1e-12:
+                x = lapack.absorbing_solve(q)
             self.solves[key] = x
         return x
 
@@ -675,8 +672,8 @@ class RollingMarkovFitter:
         if n_samples < 2:
             raise MarkovError("need at least two samples to fit transitions")
         ids = self._ids[self._lo:self._hi]
-        present = np.flatnonzero(np.bincount(ids))
-        local = np.searchsorted(present, ids)
+        present = np.bincount(ids).nonzero()[0]
+        local = present.searchsorted(ids)
         n = present.size
         counts = np.bincount(local[:-1] * n + local[1:], minlength=n * n)
         key = (n_samples, present.tobytes(), counts.tobytes())

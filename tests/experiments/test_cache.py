@@ -20,14 +20,16 @@ from repro.app.workload import ExperimentConfig, paper_experiment
 from repro.audit import RunAuditor
 from repro.core.engine import SpotSimulator
 from repro.core.periodic import PeriodicPolicy
+from repro.core.vector_engine import VectorSimulator
 from repro.experiments.cache import (
+    CachedRun,
     CacheStats,
     RunCache,
     canonical_value,
     content_key,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.market.queuing import QueueDelayModel
+from repro.market.queuing import FixedQueueDelay, QueueDelayModel
 from repro.market.spot_market import PriceOracle
 from repro.service.surface import SurfaceSpec
 from repro.traces.library import evaluation_window
@@ -78,6 +80,51 @@ class TestEngineIntegration:
         assert base != other_bid
         assert base.bid != other_bid.bid
         assert tighter.deadline < base.deadline
+
+    def test_hit_leaves_rng_where_the_cold_run_did(self, window):
+        """On both engines a hit burns the cold run's queue-delay draws
+        in one batch and leaves the generator in the cold run's state."""
+        trace, eval_start = window
+        config = paper_experiment(slack_fraction=0.15)
+        zones = tuple(trace.zone_names)
+        starts = [eval_start + k * 3600.0 for k in range(3)]
+        cache = RunCache()
+        for engine in ("scalar", "vector"):
+            states = {}
+            for phase in ("cold", "warm"):
+                rngs = [np.random.default_rng(7 + k) for k in range(3)]
+                if engine == "scalar":
+                    for s, rng in zip(starts, rngs):
+                        SpotSimulator(
+                            oracle=PriceOracle(trace),
+                            queue_model=QueueDelayModel(), rng=rng,
+                            run_cache=cache,
+                        ).run(config, PeriodicPolicy(), 0.27, zones, s)
+                else:
+                    VectorSimulator(
+                        oracle=PriceOracle(trace),
+                        queue_model=QueueDelayModel(), run_cache=cache,
+                    ).run_cube([config], [PeriodicPolicy], zones, [0] * 3,
+                               [0.27] * 3, starts, rngs, policy_idx=[0] * 3)
+                states[phase] = [r.bit_generator.state for r in rngs]
+            assert states["warm"] == states["cold"], engine
+        # both engines share addresses: the vector pass hit every run
+        assert (cache.stats.misses, cache.stats.hits) == (3, 9)
+        assert len(cache) == 3
+        assert all(entry.rng_draws > 0 for entry in cache._memory.values())
+
+    @given(seed=st.integers(0, 2**32 - 1), draws=st.integers(0, 100))
+    @settings(max_examples=200, deadline=None)
+    def test_replay_burns_as_many_draws_as_single_samples(self, seed, draws):
+        result = object()
+        entry = CachedRun(result=result, rng_draws=draws)
+        for model in (QueueDelayModel(), FixedQueueDelay()):
+            batched = np.random.default_rng(seed)
+            single = np.random.default_rng(seed)
+            assert entry.replay(model, batched) is result
+            for _ in range(draws):
+                model.sample(single)
+            assert batched.bit_generator.state == single.bit_generator.state
 
     def test_rng_stream_alignment(self, window):
         """A partial cache hit must not shift later runs' delay draws.
