@@ -12,9 +12,11 @@ reference tick loop.  This package turns each of those claims into a
   structured events into it (JSONL via :class:`JsonlSink`, in-memory
   via :class:`MemorySink`) while the :class:`InvariantChecker`
   validates state per tick-or-segment and at run end.
-* :mod:`repro.audit.differential` — replays a configuration in the
-  other engine mode and diffs the two event streams field by field,
-  promoting the fast-vs-tick equivalence claim into a reusable check.
+* :func:`differential_cube` — replays a (policy x shape x bid x
+  start) or Adaptive cube on the ``tick``, ``fast`` and ``vector``
+  engines and diffs every ``fast`` and ``vector`` row against the
+  ``tick`` reference: RunResult fields, events and final RNG state,
+  promoting the engines' bit-identity claim into one reusable check.
 
 Auditing is default-off and adds <10% overhead when disabled (a
 handful of ``is None`` branches per tick).
@@ -24,9 +26,9 @@ from repro.audit.auditor import AuditReport, RunAuditor
 from repro.audit.differential import (
     DifferentialReport,
     FieldDiff,
-    diff_event_streams,
+    diff_events,
     diff_results,
-    differential_run,
+    differential_cube,
 )
 from repro.audit.events import META_KINDS, AuditEvent, RunCounters
 from repro.audit.invariants import (
@@ -53,7 +55,7 @@ __all__ = [
     "NullSink",
     "RunAuditor",
     "RunCounters",
-    "diff_event_streams",
+    "diff_events",
     "diff_results",
-    "differential_run",
+    "differential_cube",
 ]

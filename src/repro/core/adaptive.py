@@ -364,7 +364,7 @@ class AdaptiveController(Controller):
         policy_kind: str,
     ) -> CandidateEstimate:
         """Predict the remaining cost of one permutation."""
-        bid_idx = int(np.argmin(np.abs(np.asarray(self.bids) - bid)))
+        bid_idx = int(np.abs(np.asarray(self.bids) - bid).argmin())
         avail = np.empty(len(zones))
         rate = np.empty(len(zones))
         uptime = np.empty(len(zones))
@@ -387,7 +387,7 @@ class AdaptiveController(Controller):
     ) -> CandidateEstimate:
         return self._estimate_from_combined(
             ctx, bid, zones, policy_kind,
-            combined_avail=1.0 - float(np.prod(1.0 - avail)),
+            combined_avail=1.0 - float(np.multiply.reduce(1.0 - avail)),
             combined_uptime=float(uptime.sum()),
             spot_rate=float((avail * rate).sum()),
         )
@@ -684,7 +684,7 @@ class AdaptiveController(Controller):
         flat = self._cost_from_rate(ctx, progress, rate, parts).ravel()
         if flat.size == 0:
             return None
-        cand = np.flatnonzero(flat <= flat.min() + SELECT_MARGIN)
+        cand = (flat <= flat.min() + SELECT_MARGIN).nonzero()[0]
         nbids = len(self.bids)
         nkinds = len(self.policy_kinds)
         best: tuple[float, int, float] | None = None  # (cost, |zones|, bid)

@@ -22,7 +22,8 @@ and turns the classes into the vector engine's clone plan: one
 representative row per (class, policy, shape, start) simulates and the
 other members are cloned with only the bid rewritten.  The runner's
 cube cells (:meth:`~repro.experiments.runner.ExperimentRunner.run_cube`)
-and the differential harness share it.
+and the differential harness
+(:func:`~repro.audit.differential.differential_cube`) share it.
 """
 
 from __future__ import annotations

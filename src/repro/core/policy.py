@@ -87,7 +87,8 @@ class CheckpointPolicy(abc.ABC):
     #: fall back to per-run scalar simulation.  Setting a kind asserts
     #: that ``checkpoint_due``/``fast_forward_until`` follow the exact
     #: decision rule of that kind — the vector engine re-implements the
-    #: rule column-wise and the differential suite holds both to it.
+    #: rule column-wise and :func:`~repro.audit.differential.differential_cube`
+    #: holds both to the tick reference.
     vector_kind: str | None = None
 
     #: When True, the policy's decisions depend on the bid only through

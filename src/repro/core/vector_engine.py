@@ -42,9 +42,9 @@ scalar engine's arithmetic in the same order (left-associative sums,
 ``min``-tie-breaking, the repeated-addition accrual wherever a closed
 form would round differently), every RNG draw comes from the same per-run
 ``numpy.random.Generator`` in the same sequence, and the event log —
-when recorded — matches entry for entry.  The differential suite
-(:func:`repro.audit.differential.vector_differential_cube`) holds the
-engine to it.
+when recorded — matches entry for entry.  The differential harness
+(:func:`repro.audit.differential.differential_cube`) holds the engine
+to it, row by row against the tick reference.
 
 Scope: the native vectorized path covers runs at any start time
 (fractional starts replay the scalar engine's per-tick accrual loop

@@ -1,10 +1,10 @@
 """Property-based audit coverage: every invariant holds across
 policy x window x bid in both engine modes.
 
-The hypothesis half samples random piecewise price traces, bids and
-policies and replays each configuration differentially (both engine
-modes, audited); the parametrized half pins the paper's evaluation
-windows and bid grid.
+The hypothesis half audits random piecewise price traces
+(:func:`~tests.audit.test_differential.price_traces`) and holds random
+single runs on fast and vector to tick; the parametrized half pins the
+paper's evaluation windows and bid grid.
 """
 
 from __future__ import annotations
@@ -14,62 +14,27 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.audit import RunAuditor, differential_run
+from repro.audit import RunAuditor
 from repro.core.engine import SpotSimulator
 from repro.experiments.runner import POLICY_FACTORIES
 from repro.market.queuing import FixedQueueDelay
 from repro.market.spot_market import PriceOracle
 
-from tests.conftest import multi_step_trace, small_config
-
-#: Total samples per generated zone (25 h of 5-min ticks — room for a
-#: 2 h compute + 50% slack run to finish or switch to on-demand).
-TRACE_SAMPLES = 300
-
-prices = st.floats(min_value=0.05, max_value=3.0)
-
-
-@st.composite
-def price_traces(draw, zones=("za", "zb")):
-    """Piecewise-constant traces of equal length over ``zones``."""
-    per_zone = {}
-    for zone in zones:
-        segments = []
-        remaining = TRACE_SAMPLES
-        for _ in range(draw(st.integers(1, 5))):
-            if remaining <= 10:
-                break
-            n = draw(st.integers(10, max(10, remaining // 2)))
-            segments.append((min(n, remaining), draw(prices)))
-            remaining -= segments[-1][0]
-        if remaining > 0:
-            segments.append((remaining, draw(prices)))
-        per_zone[zone] = segments
-    return multi_step_trace(per_zone)
+from tests.audit.test_differential import (
+    agree_on_random_cube,
+    cubes,
+    price_traces,
+)
+from tests.conftest import small_config
 
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(
-    trace=price_traces(),
-    bid=st.floats(min_value=0.15, max_value=2.5),
-    policy_label=st.sampled_from(sorted(POLICY_FACTORIES)),
-    num_zones=st.integers(1, 2),
-)
-def test_no_invariant_violations_and_engines_agree(trace, bid, policy_label,
-                                                   num_zones):
-    report = differential_run(
-        trace,
-        small_config(),
-        POLICY_FACTORIES[policy_label],
-        bid,
-        ("za", "zb")[:num_zones],
-        0.0,
-        queue_model=FixedQueueDelay(300.0),
-    )
-    assert report.fast_audit.ok, report.summary_lines()
-    assert report.tick_audit.ok, report.summary_lines()
-    assert report.identical, report.summary_lines()
+@given(cube=cubes(families=("run",)))
+def test_no_invariant_violations_and_engines_agree(cube):
+    """Hypothesis, the ``run`` family: one run at a random bid over one
+    or two zones — fast and vector match tick, both audits clean."""
+    agree_on_random_cube(cube)
 
 
 @settings(max_examples=10, deadline=None,

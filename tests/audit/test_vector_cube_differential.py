@@ -1,15 +1,17 @@
-"""Cube differential: the acceptance gate for the shape and policy axes.
+"""Cube differential: the shape and policy axes on the calibrated windows.
 
 A fused (policy x shape x bid x start) cube — a whole deadline ladder
 under one or several checkpoint policies over one zone set — runs
-through the struct-of-arrays engine in one lockstep pass and through
-fully independent *audited* per-run fast simulations at each row's own
-policy and shape; everything is diffed — RunResult fields (event logs
-ride along), the vector log against the audited stream the invariant
-checker certified, RNG draw counts (final generator states) and
-run-cache addresses.  All native policies are covered on both
-calibrated windows; the hypothesis half replays the contract over
-random piecewise traces x random shape ladders x random policy subsets.
+through :func:`~repro.audit.differential.differential_cube`: one
+``vector`` lockstep pass, and fully independent audited per-run
+``tick`` (the reference) and ``fast`` simulations at each row's own
+policy and shape; every fast and vector row is diffed against its tick
+row on RunResult fields, events and RNG draw counts (final generator
+states).  Two more tests pin run-cache addresses.  All native policies
+are covered on both calibrated windows; two hypothesis tests draw the
+``shape-ladder`` and ``policy-axis`` families of
+``test_differential.py::cubes``: random piecewise traces x random shape
+ladders x random policy subsets.
 """
 
 from __future__ import annotations
@@ -18,13 +20,8 @@ from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.app.workload import paper_experiment
-from repro.audit.differential import (
-    vector_differential_adaptive,
-    vector_differential_cube,
-)
 from repro.core.adaptive import AdaptiveController
 from repro.core.large_bid import LargeBidPolicy
 from repro.core.markov_daly import MarkovDalyPolicy
@@ -32,11 +29,14 @@ from repro.core.periodic import PeriodicPolicy
 from repro.experiments.cache import RunCache
 from repro.experiments.runner import POLICY_FACTORIES
 from repro.market.constants import LARGE_BID
-from repro.market.queuing import FixedQueueDelay, QueueDelayModel
+from repro.market.queuing import QueueDelayModel
 from repro.market.spot_market import PriceOracle
 
-from tests.audit.test_properties import price_traces
-from tests.conftest import small_config
+from tests.audit.test_differential import (
+    agree,
+    agree_on_random_cube,
+    cubes,
+)
 
 
 def _ladder(slacks=(0.15, 0.5, 1.0), ckpt_cost_s=300.0):
@@ -53,20 +53,19 @@ def test_cube_differential_identical(
     window_name, label, low_window, high_window
 ):
     """All four native policies x both windows: every cube row is
-    bit-identical to an independent audited fast run at its own shape."""
+    bit-identical to an independent tick run at its own shape."""
     trace, eval_start = low_window if window_name == "low" else high_window
-    zone = trace.zone_names[0]
     configs = _ladder()
     starts_per_shape = [
         [eval_start, eval_start + (k + 1) * 3600.0] for k in range(len(configs))
     ]
-    report = vector_differential_cube(
-        trace, configs, [POLICY_FACTORIES[label]], [0.27, 0.40, 0.81],
-        (zone,), starts_per_shape,
+    report = agree(trace, configs, starts_per_shape,
+                   policies=[POLICY_FACTORIES[label]],
+                   bids=[0.27, 0.40, 0.81], zones=trace.zone_names[:1])
+    assert len(report.results["vector"]) == (
+        3 * sum(map(len, starts_per_shape))
     )
-    assert report.ok, "\n".join(report.summary_lines())
-    assert len(report.vector_results) == 3 * sum(map(len, starts_per_shape))
-    assert any(r.events for r in report.fast_results)
+    assert any(r.events for r in report.results["tick"])
 
 
 @pytest.mark.parametrize("window_name", ["low", "high"])
@@ -76,19 +75,17 @@ def test_cube_differential_multi_zone(window_name, low_window, high_window):
     trace, eval_start = low_window if window_name == "low" else high_window
     zones = tuple(trace.zone_names[:3])
     configs = _ladder(slacks=(0.15, 0.75))
-    starts = [[eval_start, eval_start + 10800.0]] * len(configs)
-    report = vector_differential_cube(
-        trace, configs, [MarkovDalyPolicy], [0.40, 0.81], zones, starts
-    )
-    assert report.ok, "\n".join(report.summary_lines())
-    assert all(r.zones == zones for r in report.vector_results)
+    report = agree(trace, configs,
+                   [[eval_start, eval_start + 10800.0]] * len(configs),
+                   policies=[MarkovDalyPolicy], bids=[0.40, 0.81],
+                   zones=zones)
+    assert all(r.zones == zones for r in report.results["vector"])
 
 
 def test_cube_differential_varied_shapes(low_window):
     """Shapes may differ in every axis — compute, deadline, checkpoint
     and restart costs — not just the deadline."""
     trace, eval_start = low_window
-    zone = trace.zone_names[0]
     base = paper_experiment(slack_fraction=0.5, ckpt_cost_s=300.0)
     configs = [
         base,
@@ -96,58 +93,69 @@ def test_cube_differential_varied_shapes(low_window):
         replace(base, compute_s=base.compute_s / 2,
                 deadline_s=base.deadline_s / 2),
     ]
-    starts = [[eval_start + k * 1800.0] for k in range(len(configs))]
-    report = vector_differential_cube(
-        trace, configs, [PeriodicPolicy], [0.27, 0.81], (zone,), starts
-    )
-    assert report.ok, "\n".join(report.summary_lines())
+    agree(trace, configs,
+          [[eval_start + k * 1800.0] for k in range(len(configs))],
+          policies=[PeriodicPolicy], bids=[0.27, 0.81],
+          zones=trace.zone_names[:1])
 
 
 def test_cube_differential_fractional_starts(low_window):
     """Fractional clocks stay on the native columns inside a cube."""
     trace, eval_start = low_window
-    zone = trace.zone_names[0]
-    configs = _ladder(slacks=(0.15, 0.5))
-    starts = [[eval_start + 150.5], [eval_start + 0.5, eval_start + 7200.0]]
-    report = vector_differential_cube(
-        trace, configs, [MarkovDalyPolicy], [0.40, 0.81], (zone,), starts
-    )
-    assert report.ok, "\n".join(report.summary_lines())
+    agree(trace, _ladder(slacks=(0.15, 0.5)),
+          [[eval_start + 150.5], [eval_start + 0.5, eval_start + 7200.0]],
+          policies=[MarkovDalyPolicy], bids=[0.40, 0.81],
+          zones=trace.zone_names[:1])
 
 
 def test_cube_differential_large_bid(low_window):
     """Large-bid's native columns hold across a shape ladder."""
     trace, eval_start = low_window
-    zone = trace.zone_names[0]
     configs = _ladder(slacks=(0.15, 1.0))
-    starts = [[eval_start, eval_start + 7200.0]] * len(configs)
-    report = vector_differential_cube(
-        trace, configs, [lambda: LargeBidPolicy(0.50)], [LARGE_BID],
-        (zone,), starts,
-    )
-    assert report.ok, "\n".join(report.summary_lines())
+    agree(trace, configs, [[eval_start, eval_start + 7200.0]] * len(configs),
+          policies=[lambda: LargeBidPolicy(0.50)], bids=[LARGE_BID],
+          zones=trace.zone_names[:1])
 
 
 def test_adaptive_cube_differential_shape_ladder(low_window):
     """Adaptive rows over a two-rung deadline ladder, one start
     fractional: every (shape, start) row — result, event log with its
     config-switch decisions, audited stream — matches an independent
-    fast controller run at its own shape."""
+    tick controller run at its own shape."""
     trace, eval_start = low_window
     configs = _ladder(slacks=(0.15, 0.75))
     starts = [eval_start, eval_start + 150.5, eval_start + 7200.0,
               eval_start + 14400.0]
-    report = vector_differential_adaptive(
-        trace, configs, AdaptiveController, starts
-    )
-    assert report.ok, "\n".join(report.summary_lines())
-    assert len(report.vector_results) == len(configs) * len(starts)
-    deadlines = {r.deadline - r.start_time for r in report.vector_results}
-    assert deadlines == {cfg.deadline_s for cfg in configs}
+    report = agree(trace, configs, [starts] * len(configs),
+                   controller_factory=AdaptiveController)
+    rows = report.results["vector"]
+    assert len(rows) == len(configs) * len(starts)
+    assert {r.deadline - r.start_time for r in rows} == {
+        cfg.deadline_s for cfg in configs
+    }
     assert all(
-        any(e.kind == "config-switch" for e in r.events)
-        for r in report.vector_results
+        any(e.kind == "config-switch" for e in r.events) for r in rows
     )
+
+
+@settings(max_examples=6, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cube=cubes(families=("shape-ladder",)))
+def test_cube_holds_on_random_traces(cube):
+    """Hypothesis, the ``shape-ladder`` family: random shape ladders —
+    clone plans, shared zone dynamics and per-shape deadline columns —
+    match tick bit for bit."""
+    agree_on_random_cube(cube)
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cube=cubes(families=("policy-axis",)))
+def test_policy_axis_holds_on_random_traces(cube):
+    """Hypothesis, the ``policy-axis`` family: several policies share
+    one lockstep pass — every row matches tick under its own policy
+    and clones stay inside their policy's block."""
+    agree_on_random_cube(cube)
 
 
 def test_cube_rows_share_scalar_cache_addresses(low_window, tmp_path):
@@ -195,76 +203,6 @@ def test_cube_rows_share_scalar_cache_addresses(low_window, tmp_path):
     warm = cache.drain_stats()
     assert warm.hits == len(starts) and warm.misses == 0
     assert fast == cube
-
-
-@settings(max_examples=6, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
-    trace=price_traces(),
-    policy_label=st.sampled_from(sorted(POLICY_FACTORIES)),
-    num_zones=st.integers(1, 2),
-    slacks=st.lists(
-        st.sampled_from([0.2, 0.5, 0.8, 1.2, 2.0]),
-        min_size=1, max_size=3, unique=True,
-    ),
-)
-def test_cube_holds_on_random_traces(trace, policy_label, num_zones, slacks):
-    """Hypothesis: random piecewise traces x random shape ladders —
-    clone plans, shared zone dynamics and per-shape deadline columns
-    all match independent audited runs bit for bit."""
-    base = small_config()
-    configs = [
-        replace(base, deadline_s=base.compute_s * (1.0 + s)) for s in slacks
-    ]
-    starts = [[0.0, 3600.0] for _ in configs]
-    report = vector_differential_cube(
-        trace, configs, [POLICY_FACTORIES[policy_label]], [0.27, 0.5, 0.81],
-        ("za", "zb")[:num_zones], starts,
-        queue_model=FixedQueueDelay(300.0),
-    )
-    assert report.ok, "\n".join(report.summary_lines())
-
-
-@settings(max_examples=10, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(
-    trace=price_traces(zones=("za", "zb", "zc")),
-    labels=st.lists(
-        st.sampled_from(sorted(POLICY_FACTORIES)),
-        min_size=2, max_size=4, unique=True,
-    ),
-    num_zones=st.sampled_from([1, 3]),
-    bids=st.lists(
-        st.sampled_from([0.27, 0.5, 0.81, 2.4]),
-        min_size=1, max_size=3, unique=True,
-    ),
-    slacks=st.lists(
-        st.sampled_from([0.2, 0.5, 0.8, 1.2, 2.0]),
-        min_size=1, max_size=3, unique=True,
-    ),
-)
-def test_policy_axis_holds_on_random_traces(
-    trace, labels, num_zones, bids, slacks
-):
-    """Hypothesis: several policies share one lockstep pass — every
-    row's result, event log and RNG draw count match an independent
-    audited run under its own policy, and clones stay inside their
-    policy's block."""
-    base = small_config()
-    configs = [
-        replace(base, deadline_s=base.compute_s * (1.0 + s)) for s in slacks
-    ]
-    starts = [[0.0, 3600.0] for _ in configs]
-    report = vector_differential_cube(
-        trace, configs, [POLICY_FACTORIES[label] for label in labels], bids,
-        ("za", "zb", "zc")[:num_zones], starts,
-        queue_model=FixedQueueDelay(300.0),
-    )
-    assert report.ok, "\n".join(report.summary_lines())
-    per_policy = len(report.vector_results) // len(labels)
-    for p, label in enumerate(labels):
-        block = report.vector_results[p * per_policy:(p + 1) * per_policy]
-        assert {r.policy_name for r in block} == {label}
 
 
 def test_fused_policies_store_per_policy_cache_entries(low_window):

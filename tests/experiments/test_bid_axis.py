@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.app.workload import paper_experiment
-from repro.audit import MemorySink, RunAuditor, diff_event_streams
+from repro.audit import META_KINDS, MemorySink, RunAuditor, diff_events
 from repro.core.bid_batch import bid_equivalence_classes
 from repro.core.engine import SpotSimulator
 from repro.core.periodic import PeriodicPolicy
@@ -150,7 +150,8 @@ class TestBatchedEqualsPerBid:
 
 class TestAuditedDifferential:
     def _audited_run(self, runner, config, bid, start, zone):
-        """One independently audited run; (events, result)."""
+        """One independently audited run; (events without the meta
+        kinds, which name the bid, result)."""
         sink = MemorySink()
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=runner.seed,
@@ -163,7 +164,7 @@ class TestAuditedDifferential:
             auditor=RunAuditor(sink=sink),
         )
         result = sim.run(config, PeriodicPolicy(), bid, (zone,), start)
-        return sink.events, result
+        return [e for e in sink.events if e.kind not in META_KINDS], result
 
     def test_same_class_streams_identical(self, runner, config):
         """Audited runs at two bids of one class differ only in ``bid``."""
@@ -182,7 +183,7 @@ class TestAuditedDifferential:
                 mem_events, mem_result = self._audited_run(
                     runner, config, member, start, zone
                 )
-                assert diff_event_streams(rep_events, mem_events) == []
+                assert diff_events(rep_events, mem_events) == []
                 assert replace(mem_result, bid=cls.representative) == \
                     rep_result
 
